@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .isometry_core import FiniteOrderIsometry, as_vector
+from .isometry_core import FiniteOrderIsometry, _as_coefficients, as_vector
 
 #: directions with norm below this are discarded when orthonormalizing a basis
 BASIS_DROP_TOL = 1e-8
@@ -26,23 +26,19 @@ _ORTHONORMALITY_TOL = 1e-10
 class PolynomialOperator:
     """A linear operator sum_{k=0}^{m-1} c_k R^k bound to a finite-order isometry R.
 
-    Application costs m-1 applications of R (Horner accumulation); two
-    operators over the same R add coefficientwise and compose by cyclic
-    convolution of their coefficients, and any two of them commute.
+    Application is :meth:`FiniteOrderIsometry.apply_polynomial`, whose cost
+    depends on the kind of R: O(n + m) for a rotator, O(m n) up to
+    SHIFT_CIRCULANT_MAX_ORDER and O(n log m) above it for a circular shift, and
+    m-1 matvecs (Horner) for a dense matrix.  Two operators over the same R add
+    coefficientwise and compose by cyclic convolution of their coefficients,
+    and any two of them commute.
     """
 
     __slots__ = ("operator", "coefficients")
 
     def __init__(self, operator: FiniteOrderIsometry, coefficients):
-        coeffs = np.asarray(coefficients, dtype=float)
-        if coeffs.shape != (operator.order,):
-            raise ParameterError(
-                f"expected {operator.order} coefficients, got shape {coeffs.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise ParameterError("coefficients must all be finite")
         self.operator = operator
-        self.coefficients = coeffs.copy()
+        self.coefficients = _as_coefficients(coefficients, operator.order).copy()
 
     @property
     def order(self) -> int:
@@ -66,14 +62,8 @@ class PolynomialOperator:
         return cls(operator, np.zeros(operator.order))
 
     def apply(self, x) -> np.ndarray:
-        """Evaluate sum_k c_k R^k x via Horner: start from c_{m-1} x, apply R, add c_k x."""
-        v = as_vector(x, self.dim)
-        c = self.coefficients
-        acc = c[-1] * v
-        for k in range(self.order - 2, -1, -1):
-            acc = self.operator.apply(acc)
-            acc += c[k] * v
-        return acc
+        """Evaluate sum_k c_k R^k x with the kernel for the kind of R."""
+        return self.operator.apply_polynomial(self.coefficients, x)
 
     __call__ = apply
 
@@ -252,12 +242,13 @@ def set_valued_inverse(R: FiniteOrderIsometry, y, tol: float = RANGE_MEMBERSHIP_
     Returns the full solution set as an :class:`AffineSubspace` (particular
     point = the minimum-norm solution, directions = Fix R), or ``None`` when
     y is not in the range, detected by its fixed-space component exceeding
-    ``tol * max(||y||, 1)``.
+    ``tol * ||y||``.  The test is relative, so it does not depend on the scale
+    of y; y = 0 is in the range.
     """
     if not (tol > 0):
         raise ParameterError(f"tol must be positive, got {tol!r}")
     v = as_vector(y, R.dim)
     fixed_component = projector_fix(R).apply(v)
-    if float(np.linalg.norm(fixed_component)) > tol * max(float(np.linalg.norm(v)), 1.0):
+    if float(np.linalg.norm(fixed_component)) > tol * float(np.linalg.norm(v)):
         return None
     return AffineSubspace(point=pseudo_inverse(R).apply(v), basis=fixed_space_basis(R))

@@ -4,6 +4,14 @@ Every operator here is a linear map R on R^n with ||Rx|| = ||x|| and R^m = Id
 for a certified integer order m >= 2.  Three storage kinds are supported:
 plane rotators (block-diagonal rotations by 2*pi/m), circular block shifts,
 and explicit dense matrices certified at construction time.
+
+Only this module knows the storage kinds, so it also evaluates polynomials
+sum_k c_k R^k x (:meth:`FiniteOrderIsometry.apply_polynomial`) with one kernel
+per kind: a rotator's polynomial is the single complex scalar p(e^{2*pi*i/m})
+on every 2x2 block, O(n + m); a shift's is a cyclic convolution along the block
+axis, an m x m circulant product in O(m n) for m <= SHIFT_CIRCULANT_MAX_ORDER
+and an FFT in O(n log m) above it; a dense matrix takes m-1 matvecs by
+Horner, O(m n^2).
 """
 
 from __future__ import annotations
@@ -16,6 +24,11 @@ from .errors import ParameterError, ValidationError
 
 #: max-norm tolerance used by :func:`make_dense` when certifying a matrix.
 DEFAULT_VALIDATION_TOL = 1e-10
+#: largest shift order whose polynomial is applied as a dense m x m circulant
+#: product; above it the FFT along the block axis is faster.  Measured on a
+#: 2-vCPU Xeon with one OpenBLAS thread: the FFT wins from m ~ 140 at n = 32768
+#: and from m ~ 190 at n = 131072.
+SHIFT_CIRCULANT_MAX_ORDER = 128
 
 ROTATOR = "rotator"
 CIRCULAR_SHIFT = "circular_shift"
@@ -23,7 +36,7 @@ DENSE = "dense"
 
 
 def as_vector(x, dim: int) -> np.ndarray:
-    """Coerce ``x`` to a float vector of length ``dim`` (ParameterError otherwise)."""
+    """Coerce ``x`` to a finite float vector of length ``dim`` (ParameterError otherwise)."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ParameterError(f"expected a 1-d vector, got array of shape {v.shape}")
@@ -31,7 +44,19 @@ def as_vector(x, dim: int) -> np.ndarray:
         raise ParameterError(
             f"dimension mismatch: vector has length {v.shape[0]}, operator expects {dim}"
         )
+    if not np.isfinite(v).all():
+        raise ParameterError("vector entries must all be finite (got NaN or inf)")
     return v
+
+
+def _as_coefficients(coefficients, order: int) -> np.ndarray:
+    """Coerce to ``order`` finite float coefficients of the powers R^0, ..., R^(m-1)."""
+    c = np.asarray(coefficients, dtype=float)
+    if c.shape != (order,):
+        raise ParameterError(f"expected {order} coefficients, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ParameterError("coefficients must all be finite")
+    return c
 
 
 def _check_order(m) -> int:
@@ -77,11 +102,9 @@ class FiniteOrderIsometry:
 
     @staticmethod
     def _rotate(v: np.ndarray, c: float, s: float) -> np.ndarray:
-        pairs = v.reshape(-1, 2)
-        out = np.empty_like(pairs)
-        out[:, 0] = c * pairs[:, 0] - s * pairs[:, 1]
-        out[:, 1] = s * pairs[:, 0] + c * pairs[:, 1]
-        return out.ravel()
+        # each pair (x0, x1) read as x0 + i x1 and multiplied by c + i s: one pass
+        pairs = np.ascontiguousarray(v).view(np.complex128)
+        return (pairs * complex(c, s)).view(np.float64)
 
     def apply(self, x) -> np.ndarray:
         """Return R x."""
@@ -116,6 +139,37 @@ class FiniteOrderIsometry:
         for _ in range(k):
             v = self.apply(v)
         return v
+
+    def apply_polynomial(self, coefficients, x) -> np.ndarray:
+        """Return sum_k c_k R^k x for the coefficients (c_0, ..., c_{m-1}).
+
+        Rotator: the scalar z = sum_k c_k w^k, w = cos + i sin, by Horner, then
+        a I + b J with a + ib = z on each 2x2 block.  Shift: the circulant
+        C[i, j] = c[(i - j) mod m] applied along the block axis, as a matrix
+        product up to SHIFT_CIRCULANT_MAX_ORDER and through rfft/irfft above.
+        Dense: Horner, m-1 matvecs with the stored matrix.
+        """
+        c = _as_coefficients(coefficients, self.order)
+        v = as_vector(x, self.dim)
+        if self.kind == ROTATOR:
+            w = complex(self._cos, self._sin)
+            z = 0j
+            for ck in c[::-1].tolist():
+                z = z * w + ck
+            return self._rotate(v, z.real, z.imag)
+        if self.kind == CIRCULAR_SHIFT:
+            m = self.order
+            blocks = v.reshape(m, self._block_dim)
+            if m <= SHIFT_CIRCULANT_MAX_ORDER:
+                index = (np.arange(m)[:, None] - np.arange(m)) % m
+                return (c[index] @ blocks).ravel()
+            spectrum = np.fft.rfft(c)[:, None] * np.fft.rfft(blocks, axis=0)
+            return np.fft.irfft(spectrum, n=m, axis=0).ravel()
+        acc = c[-1] * v
+        for ck in c[-2::-1]:
+            acc = self._matrix @ acc
+            acc += ck * v
+        return acc
 
 
 def make_rotator(m: int, blocks: int = 1) -> FiniteOrderIsometry:

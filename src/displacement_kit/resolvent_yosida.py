@@ -36,11 +36,24 @@ def resolvent_coefficients(m: int, gamma: float) -> np.ndarray:
     """
     m = _check_order(m)
     g = _check_gamma(gamma)
-    q = g / (1.0 + g)
-    head = 1.0 / (1.0 + g)  # 1 - q without cancellation
-    # 1 - q^m = -expm1(m*log(q)); log(q) = -log1p(1/gamma) avoids q ~ 1 rounding
-    tail = -math.expm1(-m * math.log1p(1.0 / g))
-    return np.power(q, np.arange(m)) * (head / tail)
+    # 1 - q = 1/(1+gamma) without cancellation; log(q) = -log1p(1/gamma) avoids
+    # q ~ 1 rounding
+    return _geometric_coefficients(m, g / (1.0 + g), 1.0 / (1.0 + g), -math.log1p(1.0 / g))
+
+
+def _inverse_resolvent_coefficients(m: int, g: float) -> np.ndarray:
+    """Resolvent coefficients at 1/gamma, built without forming 1/gamma.
+
+    At 1/gamma the ratio is q' = 1/(1+gamma), with 1 - q' = gamma/(1+gamma) and
+    log(q') = -log1p(gamma), so every gamma that passes the forward check works,
+    down to the smallest subnormal.
+    """
+    return _geometric_coefficients(m, 1.0 / (1.0 + g), g / (1.0 + g), -math.log1p(g))
+
+
+def _geometric_coefficients(m: int, q: float, one_minus_q: float, log_q: float) -> np.ndarray:
+    """q^k (1-q) / (1 - q^m) for k < m, with 1 - q^m = -expm1(m log q)."""
+    return np.power(q, np.arange(m)) * (one_minus_q / -math.expm1(m * log_q))
 
 
 def resolvent(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
@@ -54,9 +67,13 @@ def resolvent_apply(R: FiniteOrderIsometry, gamma: float, x) -> np.ndarray:
 
 
 def resolvent_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
-    """Resolvent of gamma*(Id - R)^{-1}, namely Id minus the resolvent at 1/gamma."""
+    """Resolvent of gamma*(Id - R)^{-1}, namely Id minus the resolvent at 1/gamma.
+
+    1/gamma is never formed, so every gamma the forward resolvent accepts works;
+    as gamma -> 0 the operator tends to the projector onto (Fix R)^perp.
+    """
     g = _check_gamma(gamma)
-    c = -resolvent_coefficients(R.order, 1.0 / g)
+    c = -_inverse_resolvent_coefficients(R.order, g)
     c[0] += 1.0
     return PolynomialOperator(R, c)
 
@@ -64,13 +81,14 @@ def resolvent_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperato
 def resolvent_inverse_apply(R: FiniteOrderIsometry, gamma: float, x) -> np.ndarray:
     """Apply the resolvent of gamma*(Id - R)^{-1}: x minus the resolvent at 1/gamma.
 
-    Computed literally as x - resolvent_apply(R, 1/gamma, x), so the identity
-    resolvent_inverse_apply + resolvent_apply(.., 1/gamma, ..) = Id holds
-    exactly in floating point.
+    Computed as x - J x with J the resolvent at 1/gamma, its coefficients built
+    from q' = 1/(1+gamma) without forming 1/gamma, so the identity
+    resolvent_inverse_apply + resolvent_apply(.., 1/gamma, ..) = Id holds to
+    rounding.
     """
     g = _check_gamma(gamma)
     v = as_vector(x, R.dim)
-    return v - resolvent(R, 1.0 / g).apply(v)
+    return v - PolynomialOperator(R, _inverse_resolvent_coefficients(R.order, g)).apply(v)
 
 
 def yosida(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:

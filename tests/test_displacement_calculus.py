@@ -21,6 +21,7 @@ from displacement_kit import (
     skew_part,
     skew_part_folded,
 )
+from displacement_kit.isometry_core import SHIFT_CIRCULANT_MAX_ORDER
 from displacement_kit.verification import standard_instances
 
 INSTANCES = standard_instances(max_m=6, max_dim=12, seed=3)
@@ -84,6 +85,74 @@ def test_horner_matches_power_sum(R):
         expected += c * (acc @ x)
         acc = mat @ acc
     np.testing.assert_allclose(P.apply(x), expected, atol=1e-12)
+
+
+def horner_reference(R, coeffs, x):
+    # sum_k c_k R^k x by Horner over R.apply, one application of R per step
+    acc = coeffs[-1] * x
+    for c in coeffs[-2::-1]:
+        acc = R.apply(acc) + c * x
+    return acc
+
+
+def krylov_reference(R, x):
+    # rows M^k x, k < m, with M the materialized matrix of R, by repeated matvecs;
+    # c @ rows is the materialized power sum sum_k c_k M^k x
+    mat = materialize(R)
+    rows = [x]
+    for _ in range(R.order - 1):
+        rows.append(mat @ rows[-1])
+    return np.array(rows)
+
+
+KERNEL_INSTANCES = (
+    [make_rotator(m, blocks=3) for m in (2, 3, 8, 64, 1024)]
+    + [
+        make_circular_shift(m, block_dim)
+        for m in (2, SHIFT_CIRCULANT_MAX_ORDER, SHIFT_CIRCULANT_MAX_ORDER + 1, 1024)
+        for block_dim in (1, 2)
+    ]
+    + [max((R for R in INSTANCES if R.kind == "dense"), key=lambda R: (R.order, R.dim))]
+)
+
+
+def _kernel_coefficients(m):
+    identity = np.zeros(m)
+    identity[0] = 1.0
+    single_power = np.zeros(m)
+    single_power[m - 1] = 1.0
+    random = np.random.default_rng(m).standard_normal(m)
+    return {
+        "identity": identity,
+        "zero": np.zeros(m),
+        "single_power": single_power,
+        "random": random,
+    }
+
+
+@pytest.mark.parametrize("R", KERNEL_INSTANCES, ids=IDS)
+def test_kernel_matches_horner_and_power_sum(R):
+    x = np.random.default_rng(R.dim).standard_normal(R.dim)
+    powers = krylov_reference(R, x)
+    for which, coeffs in _kernel_coefficients(R.order).items():
+        out = PolynomialOperator(R, coeffs).apply(x)
+        np.testing.assert_allclose(out, horner_reference(R, coeffs, x), atol=1e-12, err_msg=which)
+        np.testing.assert_allclose(out, coeffs @ powers, atol=1e-12, err_msg=which)
+
+
+def test_apply_polynomial_rejects_bad_coefficients():
+    R = make_circular_shift(3)
+    with pytest.raises(ParameterError):
+        R.apply_polynomial([1.0, 0.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ParameterError):
+        R.apply_polynomial([1.0, np.nan, 0.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_polynomial_apply_rejects_non_finite_vector(bad):
+    P = pseudo_inverse(make_circular_shift(3))
+    with pytest.raises(ParameterError):
+        P.apply([bad, 0.0, 0.0])
 
 
 def test_compose_is_cyclic_convolution():
@@ -321,6 +390,11 @@ def test_set_valued_inverse_rejects_fixed_vector():
     assert set_valued_inverse(make_circular_shift(3), [1.0, 1.0, 1.0]) is None
 
 
+def test_set_valued_inverse_rejects_tiny_fixed_vector():
+    # the range test is relative, so a fixed vector is rejected at any scale
+    assert set_valued_inverse(make_circular_shift(3), [1e-12, 1e-12, 1e-12]) is None
+
+
 def test_set_valued_inverse_invertible_case():
     solution = set_valued_inverse(make_rotator(2), [2.0, 0.0])
     np.testing.assert_allclose(solution.point, [1.0, 0.0], atol=1e-12)
@@ -330,6 +404,13 @@ def test_set_valued_inverse_invertible_case():
 def test_set_valued_inverse_zero_right_hand_side():
     solution = set_valued_inverse(make_circular_shift(2), [0.0, 0.0])
     np.testing.assert_allclose(solution.point, [0.0, 0.0], atol=1e-15)
+    assert solution.degrees_of_freedom == 1
+
+
+def test_set_valued_inverse_zero_right_hand_side_three_shift():
+    # y = 0 lies in the range under the relative test: the solution set is Fix R
+    solution = set_valued_inverse(make_circular_shift(3), np.zeros(3))
+    np.testing.assert_allclose(solution.point, np.zeros(3), atol=1e-15)
     assert solution.degrees_of_freedom == 1
 
 

@@ -30,6 +30,15 @@ def shift_matrix(m, d=1):
 INSTANCES = standard_instances(max_m=6, max_dim=12, seed=3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("R", [make_rotator(3), make_circular_shift(2)], ids=lambda R: R.kind)
+def test_apply_rejects_non_finite_vector(R, bad):
+    x = np.zeros(R.dim)
+    x[1] = bad
+    with pytest.raises(ParameterError):
+        R.apply(x)
+
+
 def test_rotator_half_turn_negates():
     R = make_rotator(2)
     np.testing.assert_allclose(R.apply([1.0, 0.0]), [-1.0, 0.0], atol=1e-15)

@@ -12,6 +12,7 @@ from displacement_kit import (
     make_rotator,
     materialize,
     projector_fix,
+    projector_fix_complement,
     resolvent,
     resolvent_apply,
     resolvent_coefficients,
@@ -132,6 +133,27 @@ def test_inverse_resolvent_kills_fixed_vectors():
     R = make_circular_shift(3)
     np.testing.assert_allclose(
         resolvent_inverse_apply(R, 1.7, [2.0, 2.0, 2.0]), 0.0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_resolvent_apply_rejects_non_finite_vector(bad):
+    with pytest.raises(ParameterError):
+        resolvent_apply(make_circular_shift(3), 1.0, [bad, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("gamma", [5e-324, 1e-310, 1e-300])
+@pytest.mark.parametrize("m", [2, 3, 8, 1024])
+def test_inverse_resolvent_tiny_gamma_is_complement_projector(m, gamma):
+    # as gamma -> 0 the inverse resolvent tends to the projector onto (Fix R)^perp,
+    # with coefficients O(m * gamma) away from it
+    R = make_circular_shift(m)
+    comp = projector_fix_complement(R)
+    dev = np.max(np.abs(resolvent_inverse(R, gamma).coefficients - comp.coefficients))
+    assert dev <= m * gamma
+    x = np.random.default_rng(m).standard_normal(m)
+    np.testing.assert_allclose(
+        resolvent_inverse_apply(R, gamma, x), comp.apply(x), rtol=0, atol=m * gamma + 1e-14
     )
 
 
