@@ -23,7 +23,6 @@ from .displacement_calculus import (
     displacement,
     displacement_apply,
     fixed_space_basis,
-    orthonormal_columns,
     projector_fix,
     projector_fix_complement,
     pseudo_inverse,
@@ -84,7 +83,6 @@ __all__ = [
     "oracle_pinv",
     "oracle_projector_fix",
     "oracle_resolvent",
-    "orthonormal_columns",
     "projector_fix",
     "projector_fix_complement",
     "proximal_point",

@@ -15,8 +15,6 @@ import numpy as np
 from .errors import ParameterError, ValidationError
 from .isometry_core import FiniteOrderIsometry, _as_coefficients, as_vector
 
-#: directions with norm below this are discarded when orthonormalizing a basis
-BASIS_DROP_TOL = 1e-8
 #: default relative threshold for the range-membership test of the set-valued inverse
 RANGE_MEMBERSHIP_TOL = 1e-9
 
@@ -64,6 +62,17 @@ class PolynomialOperator:
     def apply(self, x) -> np.ndarray:
         """Evaluate sum_k c_k R^k x with the kernel for the kind of R."""
         return self.operator.apply_polynomial(self.coefficients, x)
+
+    def operator_norm(self) -> float:
+        """Exact operator norm: max |p(w^j)| over the eigenvalues w^j that R has.
+
+        R is normal, so p(R) is too and its norm is the largest modulus of its
+        symbol p(w^j) = sum_k c_k w^{jk} = m * ifft(c)[j] on the spectrum of R.
+        O(m log m) after the multiplicities; not cached, because
+        ``coefficients`` may be changed in place.
+        """
+        symbol = self.order * np.fft.ifft(self.coefficients)
+        return float(np.max(np.abs(symbol[self.operator.eigen_multiplicities() > 0])))
 
     __call__ = apply
 
@@ -121,14 +130,16 @@ class AffineSubspace:
         for b in self.basis:
             if b.shape != (n,):
                 raise ParameterError("basis vectors must match the point's dimension")
-        for i, b in enumerate(self.basis):
-            for j, c in enumerate(self.basis):
+        if self.basis:
+            B = np.stack(self.basis)
+            gram_dev = np.abs(B @ B.T - np.eye(len(self.basis)))
+            i, j = np.unravel_index(int(np.argmax(gram_dev)), gram_dev.shape)
+            if not gram_dev[i, j] <= _ORTHONORMALITY_TOL:  # NaN fails too
                 expected = 1.0 if i == j else 0.0
-                if abs(float(b @ c) - expected) > _ORTHONORMALITY_TOL:
-                    raise ValidationError(
-                        f"basis is not orthonormal: |<b_{i}, b_{j}> - {expected:g}| "
-                        f"exceeds {_ORTHONORMALITY_TOL:.1e}"
-                    )
+                raise ValidationError(
+                    f"basis is not orthonormal: |<b_{i}, b_{j}> - {expected:g}| = "
+                    f"{gram_dev[i, j]:.3e} exceeds {_ORTHONORMALITY_TOL:.1e}"
+                )
 
     @property
     def dim(self) -> int:
@@ -210,30 +221,9 @@ def pseudo_inverse(R: FiniteOrderIsometry) -> PolynomialOperator:
     return PolynomialOperator(R, c)
 
 
-def orthonormal_columns(vectors, drop_tol: float = BASIS_DROP_TOL) -> list:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
-
-    Directions whose residual norm falls below ``drop_tol`` are discarded, so
-    the result is an orthonormal basis of the numerical span.
-    """
-    basis: list = []
-    for v in vectors:
-        w = np.array(v, dtype=float)
-        for _ in range(2):  # second sweep restores orthogonality lost to cancellation
-            for u in basis:
-                w -= (u @ w) * u
-        nrm = float(np.linalg.norm(w))
-        if nrm > drop_tol:
-            basis.append(w / nrm)
-    return basis
-
-
 def fixed_space_basis(R: FiniteOrderIsometry) -> list:
-    """Orthonormal basis of Fix R, extracted from the columns of the fixed-space projector."""
-    P = projector_fix(R)
-    n = R.dim
-    eye = np.eye(n)
-    return orthonormal_columns(P.apply(eye[j]) for j in range(n))
+    """Orthonormal basis of Fix R: the rows of :meth:`FiniteOrderIsometry.fixed_space_basis`."""
+    return list(R.fixed_space_basis())
 
 
 def set_valued_inverse(R: FiniteOrderIsometry, y, tol: float = RANGE_MEMBERSHIP_TOL):

@@ -12,6 +12,10 @@ on every 2x2 block, O(n + m); a shift's is a cyclic convolution along the block
 axis, an m x m circulant product in O(m n) for m <= SHIFT_CIRCULANT_MAX_ORDER
 and an FFT in O(n log m) above it; a dense matrix takes m-1 matvecs by
 Horner, O(m n^2).
+
+Each kind also states its spectrum, a multiplicity per m-th root of unity, and
+an orthonormal basis of Fix R: in closed form for a rotator and a shift, from
+one cached sweep over the powers of a dense matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import NumericError, ParameterError, ValidationError
 
 #: max-norm tolerance used by :func:`make_dense` when certifying a matrix.
 DEFAULT_VALIDATION_TOL = 1e-10
@@ -29,6 +33,9 @@ DEFAULT_VALIDATION_TOL = 1e-10
 #: 2-vCPU Xeon with one OpenBLAS thread: the FFT wins from m ~ 140 at n = 32768
 #: and from m ~ 190 at n = 131072.
 SHIFT_CIRCULANT_MAX_ORDER = 128
+#: largest distance from an integer allowed for a dense matrix's eigenvalue
+#: multiplicities, as the character formula computes them from traces
+MULTIPLICITY_TOL = 1e-6
 
 ROTATOR = "rotator"
 CIRCULAR_SHIFT = "circular_shift"
@@ -69,11 +76,13 @@ class FiniteOrderIsometry:
     """A linear isometry R with a certified order m, i.e. R^m = Id.
 
     Instances are immutable after construction and safe to share across
-    threads.  Use :func:`make_rotator`, :func:`make_circular_shift`, or
-    :func:`make_dense` instead of the bare constructor.
+    threads; a dense instance caches its spectrum on first use, and two
+    threads that race there compute the same arrays.  Use
+    :func:`make_rotator`, :func:`make_circular_shift`, or :func:`make_dense`
+    instead of the bare constructor.
     """
 
-    __slots__ = ("kind", "order", "dim", "_cos", "_sin", "_block_dim", "_matrix")
+    __slots__ = ("kind", "order", "dim", "_cos", "_sin", "_block_dim", "_matrix", "_spectrum")
 
     def __init__(self, kind, order, dim, *, cos_sin=None, block_dim=None, matrix=None):
         self.kind = kind
@@ -82,6 +91,7 @@ class FiniteOrderIsometry:
         self._cos, self._sin = cos_sin if cos_sin is not None else (None, None)
         self._block_dim = block_dim
         self._matrix = matrix
+        self._spectrum = None  # dense only: (multiplicities, Fix basis), made on first use
 
     def __repr__(self) -> str:
         return f"FiniteOrderIsometry(kind={self.kind!r}, order={self.order}, dim={self.dim})"
@@ -170,6 +180,70 @@ class FiniteOrderIsometry:
             acc = self._matrix @ acc
             acc += ck * v
         return acc
+
+    def eigen_multiplicities(self) -> np.ndarray:
+        """mult[j], the multiplicity of the eigenvalue e^{2*pi*i*j/m} of R, for j < m.
+
+        Rotator: dim/2 at j = 1 and at j = m-1 (dim at j = 1 when m = 2).
+        Shift: block_dim at every j.  Dense: the character formula
+        mult_j = (1/m) sum_k tr(A^k) w^{-jk}, rounded; NumericError when the
+        values are not within MULTIPLICITY_TOL of integers summing to n.
+        """
+        if self.kind == ROTATOR:
+            mult = np.zeros(self.order, dtype=np.int64)
+            mult[1] += self.dim // 2
+            mult[-1] += self.dim // 2
+            return mult
+        if self.kind == CIRCULAR_SHIFT:
+            return np.full(self.order, self._block_dim, dtype=np.int64)
+        return self._dense_spectrum()[0]
+
+    def fixed_space_basis(self) -> np.ndarray:
+        """Orthonormal basis of Fix R as the rows of a (d, n) array, d = mult[0].
+
+        Rotator: empty.  Shift: e_i repeated in every block, divided by sqrt(m).
+        Dense: the top d eigenvectors of the projector (1/m) sum_k A^k, symmetrized;
+        the array is cached and read-only.
+        """
+        if self.kind == ROTATOR:
+            return np.empty((0, self.dim))
+        if self.kind == CIRCULAR_SHIFT:
+            # sqrt(1/m) is correctly rounded more often than 1/sqrt(m)
+            return np.tile(np.eye(self._block_dim), self.order) * math.sqrt(1.0 / self.order)
+        return self._dense_spectrum()[1]
+
+    def _dense_spectrum(self) -> tuple:
+        """(multiplicities, Fix basis) from the traces and the sum of A^k, k < m; O(m n^3)."""
+        if self._spectrum is None:
+            n, m = self.dim, self.order
+            power = np.eye(n)
+            total = power.copy()
+            traces = np.empty(m)
+            traces[0] = n
+            for k in range(1, m):
+                power = self._matrix @ power
+                traces[k] = np.trace(power)
+                total += power
+            characters = np.fft.fft(traces) / m
+            mult = np.rint(characters.real)
+            deviation = float(np.max(np.abs(characters - mult)))
+            if not deviation <= MULTIPLICITY_TOL or mult.min() < 0 or mult.sum() != n:
+                raise NumericError(
+                    f"eigenvalue multiplicities {characters.real.tolist()} are not "
+                    f"nonnegative integers summing to {n} (largest deviation {deviation:.3e}, "
+                    f"tol = {MULTIPLICITY_TOL:.1e})"
+                )
+            mult = mult.astype(np.int64)
+            basis = np.empty((0, n))
+            if mult[0]:
+                del power  # one n x n array fewer at the eigh
+                total += total.T  # 2m times the projector onto Fix R, symmetric
+                # a copy, not a view that would keep all n eigenvectors alive
+                basis = np.linalg.eigh(total)[1][:, n - mult[0]:].T.copy()
+            mult.flags.writeable = False
+            basis.flags.writeable = False
+            self._spectrum = (mult, basis)
+        return self._spectrum
 
 
 def make_rotator(m: int, blocks: int = 1) -> FiniteOrderIsometry:

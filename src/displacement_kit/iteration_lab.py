@@ -10,12 +10,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .dense_oracle import _as_apply, materialize
+from .displacement_calculus import PolynomialOperator
 from .isometry_core import FiniteOrderIsometry, as_vector
 from .resolvent_yosida import resolvent
-
-#: power iteration budget and relative eigenvalue tolerance
-POWER_ITERATION_MAX_STEPS = 10_000
-POWER_ITERATION_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,45 +91,20 @@ def ergodic_mean(R: FiniteOrderIsometry, x0, n: int) -> np.ndarray:
     return total / float(n)
 
 
-def _spectral_norm(A: np.ndarray, rng: np.random.Generator) -> float:
-    """Largest singular value of A by power iteration on A^T A.
-
-    Stops when the eigenpair residual ||Bv - lambda v|| falls below
-    rel_tol * lambda; for the symmetric B = A^T A this bounds the eigenvalue
-    error by the same amount, unlike a stop on Rayleigh-quotient increments.
-    """
-    n = A.shape[1]
-    gram = A.T @ A
-    v = rng.standard_normal(n)
-    norm_v = float(np.linalg.norm(v))
-    if norm_v == 0.0:
-        v = np.ones(n)
-        norm_v = math.sqrt(n)
-    v /= norm_v
-    eigenvalue = 0.0
-    for _ in range(POWER_ITERATION_MAX_STEPS):
-        w = gram @ v
-        eigenvalue = float(v @ w)
-        residual = float(np.linalg.norm(w - eigenvalue * v))
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if residual <= POWER_ITERATION_REL_TOL * max(abs(eigenvalue), 1e-30):
-            break
-    return math.sqrt(max(eigenvalue, 0.0))
-
-
 def lipschitz_estimate(operator, dim: int | None = None, n_pairs: int = 100, seed: int = 0) -> float:
     """Lipschitz constant of a linear operator.
 
-    Takes the max of ||F x - F y|| / ||x - y|| over seeded random pairs, then
-    refines it with the spectral norm of the materialized matrix (the exact
-    constant for linear maps), computed by power iteration.
+    A :class:`PolynomialOperator` returns its exact :meth:`operator_norm`
+    from the symbol, O(m log m) whatever n is.  Any other operator takes the
+    max of ||F x - F y|| / ||x - y|| over seeded random pairs and of the
+    spectral norm (SVD) of its materialized n x n matrix, the exact constant
+    for linear maps.
     """
     if not isinstance(n_pairs, (int, np.integer)) or n_pairs < 1:
         raise ParameterError(f"n_pairs must be an integer >= 1, got {n_pairs!r}")
     func, n = _as_apply(operator, dim)
+    if isinstance(operator, PolynomialOperator):
+        return operator.operator_norm()
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(int(n_pairs)):
@@ -143,5 +115,4 @@ def lipschitz_estimate(operator, dim: int | None = None, n_pairs: int = 100, see
             continue
         ratio = float(np.linalg.norm(np.asarray(func(x)) - np.asarray(func(y)))) / gap
         best = max(best, ratio)
-    spectral = _spectral_norm(materialize(operator, dim), rng)
-    return max(best, spectral)
+    return max(best, float(np.linalg.norm(materialize(operator, dim), 2)))

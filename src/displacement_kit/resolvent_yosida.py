@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import NumericError, ParameterError, ValidationError
 from .displacement_calculus import PolynomialOperator, projector_fix
 from .isometry_core import FiniteOrderIsometry, as_vector, _check_order
 
@@ -110,16 +110,32 @@ def yosida_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
     """Yosida approximation of (Id - R)^{-1}: the resolvent at 1/gamma, divided by gamma.
 
     Its coefficients equal (1+gamma)^{m-1-k} / ((1+gamma)^m - 1) and sum to
-    1/gamma.
+    1/gamma.  They are built from the resolvent at 1/gamma without forming
+    1/gamma; NumericError when their sum 1/gamma overflows, i.e. for gamma
+    below ~5.6e-309.
     """
     g = _check_gamma(gamma)
-    return PolynomialOperator(R, resolvent_coefficients(R.order, 1.0 / g) / g)
+    return PolynomialOperator(R, _yosida_inverse_coefficients(R.order, g))
 
 
 def yosida_inverse_apply(R: FiniteOrderIsometry, gamma: float, x) -> np.ndarray:
-    """Apply the Yosida approximation of (Id - R)^{-1} to x."""
+    """Apply the Yosida approximation of (Id - R)^{-1} to x (see :func:`yosida_inverse`)."""
     g = _check_gamma(gamma)
-    return resolvent(R, 1.0 / g).apply(as_vector(x, R.dim)) / g
+    return PolynomialOperator(R, _yosida_inverse_coefficients(R.order, g)).apply(x)
+
+
+def _yosida_inverse_coefficients(m: int, g: float) -> np.ndarray:
+    with np.errstate(over="ignore"):  # reported below as NumericError
+        c = _inverse_resolvent_coefficients(m, g) / g
+        total = float(np.sum(c))
+    # the sum is p(1), a value of the symbol: when it overflows, so does the
+    # operator on Fix R, even if each of the m coefficients is finite
+    if not math.isfinite(total):
+        raise NumericError(
+            f"Yosida inverse coefficients overflow at gamma = {g!r}: they sum to "
+            f"1/gamma, which exceeds the largest float"
+        )
+    return c
 
 
 #: operator-norm slack allowed when certifying a dense series input as nonexpansive
@@ -132,38 +148,53 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
     Sums sum_{k<=K} q^k (1-q) S^k x with q = gamma/(1+gamma) and
     K = ceil(log eps / log q), so the geometric tail bounds the truncation
     error by eps * ||x||.  S may be a FiniteOrderIsometry or a square matrix;
-    matrices are certified nonexpansive (spectral norm <= 1 + 1e-8) first.
+    matrices are certified nonexpansive (spectral norm <= 1 + 1e-8) first and
+    summed term by term, K matvecs.  For a FiniteOrderIsometry the terms are
+    folded by R^k = R^{k mod m} into m coefficients and applied once, O(m)
+    work and memory for every gamma.
     """
     g = _check_gamma(gamma)
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
         raise ParameterError(f"eps must be a positive finite real, got {eps!r}")
+    log_q = -math.log1p(1.0 / g)
+    ratio = math.log(eps) / log_q  # K = ceil(ratio); inf only for gamma beyond ~2e305
     if isinstance(S, FiniteOrderIsometry):
-        apply_s = S.apply
-        dim = S.dim
-    else:
-        A = np.asarray(S, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ParameterError(f"series operator must be square, got shape {A.shape}")
-        norm_estimate = float(np.linalg.norm(A, 2))
-        if norm_estimate > 1.0 + NONEXPANSIVE_TOL:
-            raise ValidationError(
-                f"operator is not nonexpansive: spectral norm estimate {norm_estimate:.6f} "
-                f"exceeds 1 + {NONEXPANSIVE_TOL:.1e}"
-            )
-        apply_s = lambda v: A @ v
-        dim = A.shape[0]
-    v = as_vector(x, dim)
+        coefficients = resolvent_coefficients(S.order, g)
+        if math.isfinite(ratio):  # otherwise q^K < eps lies below every float: the whole series
+            coefficients *= _series_tail(S.order, log_q, max(0, math.ceil(ratio)))
+        return S.apply_polynomial(coefficients, x)
+    A = np.asarray(S, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ParameterError(f"series operator must be square, got shape {A.shape}")
+    norm_estimate = float(np.linalg.norm(A, 2))
+    if norm_estimate > 1.0 + NONEXPANSIVE_TOL:
+        raise ValidationError(
+            f"operator is not nonexpansive: spectral norm estimate {norm_estimate:.6f} "
+            f"exceeds 1 + {NONEXPANSIVE_TOL:.1e}"
+        )
+    v = as_vector(x, A.shape[0])
 
     q = g / (1.0 + g)
-    terms = max(0, math.ceil(math.log(eps) / math.log(q)))
     weight = 1.0 / (1.0 + g)  # q^k * (1 - q) as the loop advances
     total = weight * v
     power = v
-    for _ in range(terms):
-        power = apply_s(power)
+    for _ in range(max(0, math.ceil(ratio))):
+        power = A @ power
         weight *= q
         total += weight * power
     return total
+
+
+def _series_tail(m: int, log_q: float, terms: int) -> np.ndarray:
+    """1 - q^{m N_j}, j < m: the share of the resolvent coefficient of R^j kept by
+    the series up to R^K, where R^j collects N_j = floor((K-j)/m) + 1 terms
+    (none when j > K).  With K = laps*m + last, m N_j is K - last + m for
+    j <= last and K - last above."""
+    laps, last = divmod(terms, m)
+    # laps >= 1 implies K >= 2, so log_q is finite and the product is not 0 * inf
+    tail = np.full(m, -math.expm1((terms - last) * log_q) if laps else 0.0)
+    tail[: last + 1] = -math.expm1((terms - last + m) * log_q)
+    return tail
 
 
 def asymptotic_limit(R: FiniteOrderIsometry, which: str) -> PolynomialOperator:

@@ -162,6 +162,7 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
     # --- projector / skew / pseudoinverse calculus -----------------------
     proj_split, proj_matrix, kernel_devs, skew_matrix, folded_devs = [], [], [], [], []
     double_disp, mp_axioms, range_products, pinv_oracle, proj_oracle = [], [], [], [], []
+    basis_oracle = []
     commute_devs, strong_mono, skew_neutral, solve_devs, minv_cross = [], [], [], [], []
     for R in instances:
         proj = projector_fix(R)
@@ -186,7 +187,10 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
         range_products.append(_max_abs(m_mat @ d_mat - (eye - p_mat)))
         range_products.append(_max_abs(d_mat @ m_mat - (eye - p_mat)))
         pinv_oracle.append(_max_abs(d_mat - oracle_pinv(m_mat)))
-        proj_oracle.append(_max_abs(p_mat - oracle_projector_fix(materialize(R))))
+        fix_oracle = oracle_projector_fix(materialize(R))
+        proj_oracle.append(_max_abs(p_mat - fix_oracle))
+        basis = R.fixed_space_basis()
+        basis_oracle.append(_max_abs(basis.T @ basis - fix_oracle))
 
         extra = PolynomialOperator(R, rng.standard_normal(R.order))
         for a, b in ((proj, skew), (skew, pinv), (pinv, extra), (extra, proj)):
@@ -235,6 +239,7 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
     add("pseudoinverse products give the range projector", range_products, 1e-10)
     add("pseudoinverse matches the SVD oracle", pinv_oracle, 1e-9)
     add("fixed projector matches the nullspace oracle", proj_oracle, 1e-9)
+    add("fixed-space basis spans the nullspace oracle", basis_oracle, 1e-9)
     add("polynomial operators commute", commute_devs, 1e-10)
     add("set-valued inverse is 1/2-strongly monotone", strong_mono, 1e-10)
     add("skew companion contributes no symmetric part", skew_neutral, 1e-10)
@@ -319,20 +324,27 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
     add("oracle resolvent limits at extreme gamma", oracle_limits, 1e-4)
 
     # --- contraction constants ----------------------------------------------
-    contraction, sharpness, no_contraction = [], [], []
+    contraction, sharpness, no_contraction, symbol_norms = [], [], [], []
     for R in instances:
         for gamma in LIPSCHITZ_GAMMAS:
             bound = 2.0 / (2.0 + gamma)
-            lip = lipschitz_estimate(resolvent_inverse(R, gamma), seed=seed, n_pairs=16)
+            inverse = resolvent_inverse(R, gamma)
+            lip = lipschitz_estimate(inverse, seed=seed, n_pairs=16)
             contraction.append(max(0.0, lip - bound))
+            checked = [inverse]
             if R.kind == "rotator" and R.order == 2:
                 sharpness.append(abs(lip - bound))
             if R.kind == "circular_shift":
-                lip_fwd = lipschitz_estimate(resolvent(R, gamma), seed=seed, n_pairs=16)
+                checked.append(resolvent(R, gamma))
+                lip_fwd = lipschitz_estimate(checked[-1], seed=seed, n_pairs=16)
                 no_contraction.append(max(0.0, 1.0 - lip_fwd))
+            for op in checked:
+                svd_norm = float(np.linalg.norm(materialize(op), 2))
+                symbol_norms.append(abs(op.operator_norm() - svd_norm))
     add("inverse resolvent contracts with constant 2/(2+gamma)", contraction, 1e-8)
     add("contraction constant is attained by the order-2 rotator", sharpness, 1e-8)
     add("resolvent is not a contraction when the fixed space is nontrivial", no_contraction, 1e-12)
+    add("operator norm from the symbol matches the SVD norm", symbol_norms, 1e-10)
 
     # --- iteration dynamics ----------------------------------------------------
     fejer, ergodic_devs, prox_devs = [], [], []

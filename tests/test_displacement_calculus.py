@@ -14,12 +14,17 @@ from displacement_kit import (
     make_circular_shift,
     make_rotator,
     materialize,
+    oracle_projector_fix,
     projector_fix,
     projector_fix_complement,
     pseudo_inverse,
+    resolvent,
+    resolvent_inverse,
     set_valued_inverse,
     skew_part,
     skew_part_folded,
+    yosida,
+    yosida_inverse,
 )
 from displacement_kit.isometry_core import SHIFT_CIRCULANT_MAX_ORDER
 from displacement_kit.verification import standard_instances
@@ -153,6 +158,36 @@ def test_polynomial_apply_rejects_non_finite_vector(bad):
     P = pseudo_inverse(make_circular_shift(3))
     with pytest.raises(ParameterError):
         P.apply([bad, 0.0, 0.0])
+
+
+def _families(R):
+    out = {
+        "displacement": displacement(R),
+        "projector_fix": projector_fix(R),
+        "projector_fix_complement": projector_fix_complement(R),
+        "skew_part": skew_part(R),
+        "pseudo_inverse": pseudo_inverse(R),
+        "random": PolynomialOperator(R, np.random.default_rng(R.order).standard_normal(R.order)),
+    }
+    for gamma in (0.1, 1.0, 10.0):
+        for build in (resolvent, resolvent_inverse, yosida, yosida_inverse):
+            out[f"{build.__name__}@{gamma:g}"] = build(R, gamma)
+    return out
+
+
+@pytest.mark.parametrize("R", INSTANCES, ids=IDS)
+def test_operator_norm_matches_svd_norm(R):
+    for name, op in _families(R).items():
+        svd_norm = float(np.linalg.norm(materialize(op), 2))
+        assert abs(op.operator_norm() - svd_norm) <= 1e-12, name
+
+
+def test_operator_norm_skips_absent_eigenvalues():
+    # the dense 3-rotator has no eigenvalue 1, so the projector onto Fix R is 0
+    R = next(R for R in INSTANCES if R.kind == "dense" and R.order == 3 and R.dim == 4)
+    assert R.eigen_multiplicities()[0] == 0
+    assert projector_fix(R).operator_norm() == 0.0
+    assert projector_fix_complement(R).operator_norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_compose_is_cyclic_convolution():
@@ -370,6 +405,14 @@ def test_fixed_space_basis_block_diagonal():
     assert abs(basis[0] @ basis[1]) <= 1e-12
 
 
+@pytest.mark.parametrize("R", INSTANCES, ids=IDS)
+def test_fixed_space_basis_matches_nullspace_oracle(R):
+    B = np.array(fixed_space_basis(R)).reshape(-1, R.dim)
+    assert B.shape[0] == R.eigen_multiplicities()[0]
+    np.testing.assert_allclose(B.T @ B, oracle_projector_fix(materialize(R)), atol=1e-10)
+    np.testing.assert_allclose(B @ B.T, np.eye(B.shape[0]), atol=1e-12)
+
+
 # --- set-valued inverse -------------------------------------------------------------
 
 
@@ -442,6 +485,14 @@ def test_affine_subspace_validates_orthonormality():
         AffineSubspace(
             point=np.zeros(2), basis=[np.array([1.0, 0.0]), np.array([1.0, 0.0])]
         )
+
+
+def test_affine_subspace_names_the_worst_pair():
+    basis = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.6, 0.8])]
+    with pytest.raises(ValidationError, match=r"<b_1, b_2> - 0\| = 6\.000e-01"):
+        AffineSubspace(point=np.zeros(3), basis=basis)
+    with pytest.raises(ValidationError):
+        AffineSubspace(point=np.zeros(2), basis=[np.array([np.nan, 0.0])])
 
 
 def test_affine_subspace_element_weights_shape():

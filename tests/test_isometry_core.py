@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from displacement_kit import (
+    FiniteOrderIsometry,
+    NumericError,
     ParameterError,
     ValidationError,
     make_circular_shift,
@@ -179,3 +181,46 @@ def test_materialized_powers_match(R):
         powered = materialize(lambda v, k=k: R.apply_power(k, v), R.dim)
         np.testing.assert_allclose(powered, acc, atol=1e-12)
         acc = mat @ acc
+
+
+# --- spectrum and fixed space -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "R",
+    INSTANCES + [make_rotator(2, 3), make_circular_shift(7, 2)],
+    ids=lambda R: f"{R.kind}-m{R.order}-n{R.dim}",
+)
+def test_eigen_multiplicities_match_eigenvalues(R):
+    m = R.order
+    mult = R.eigen_multiplicities()
+    assert mult.shape == (m,) and mult.sum() == R.dim
+    assert all(mult[j] == mult[(m - j) % m] for j in range(m))
+    # reference: eigenvalues of the materialized matrix, binned by the nearest root of unity
+    eigenvalues = np.linalg.eigvals(materialize(R))
+    bins = np.rint(np.angle(eigenvalues) * m / (2 * np.pi)).astype(int) % m
+    np.testing.assert_array_equal(np.bincount(bins, minlength=m), mult)
+
+
+def test_dense_spectrum_is_lazy_cached_and_read_only():
+    R = make_dense(shift_matrix(4, 2), 4)
+    assert R._spectrum is None  # certification does not pay for it
+    basis = R.fixed_space_basis()
+    assert R.fixed_space_basis() is basis
+    assert not basis.flags.writeable and not R.eigen_multiplicities().flags.writeable
+    assert basis.base is None  # owns its data: the n x n eigenvectors are not kept alive
+    np.testing.assert_allclose(basis.T @ basis, np.kron(np.full((4, 4), 0.25), np.eye(2)), atol=1e-12)
+
+
+def test_closed_form_fixed_space_bases():
+    assert make_rotator(5, 2).fixed_space_basis().shape == (0, 4)
+    np.testing.assert_array_equal(
+        make_circular_shift(3, 2).fixed_space_basis(), np.tile(np.eye(2), 3) * np.sqrt(1 / 3)
+    )
+
+
+def test_dense_multiplicities_reject_a_wrong_order():
+    # an uncertified rotation by 2*pi/5 declared of order 3: the characters are not integers
+    R = FiniteOrderIsometry("dense", 3, 2, matrix=rotation_matrix(2 * np.pi / 5))
+    with pytest.raises(NumericError, match="not nonnegative integers summing to 2"):
+        R.eigen_multiplicities()

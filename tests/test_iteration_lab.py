@@ -152,6 +152,19 @@ def test_lipschitz_deterministic_given_seed():
 def test_lipschitz_rejects_bad_pairs():
     with pytest.raises(ParameterError):
         lipschitz_estimate(make_rotator(3), n_pairs=0)
+    with pytest.raises(ParameterError):
+        lipschitz_estimate(resolvent(make_rotator(3), 1.0), n_pairs=0)
+    with pytest.raises(ParameterError, match="dimension mismatch"):
+        lipschitz_estimate(resolvent(make_rotator(3), 1.0), dim=3)
+
+
+@pytest.mark.parametrize("R", INSTANCES, ids=IDS)
+def test_lipschitz_of_polynomial_is_its_symbol_norm(R):
+    op = resolvent_inverse(R, 0.7)
+    assert lipschitz_estimate(op, seed=5) == op.operator_norm()
+    # the generic path (a bare callable) reaches the same constant through the SVD
+    generic = lipschitz_estimate(op.apply, dim=R.dim, seed=5, n_pairs=4)
+    assert abs(generic - op.operator_norm()) <= 1e-12
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)

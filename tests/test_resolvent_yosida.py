@@ -1,9 +1,12 @@
 """Closed-form resolvents, Yosida approximations, series form, and limits."""
 
+import re
+
 import numpy as np
 import pytest
 
 from displacement_kit import (
+    NumericError,
     ParameterError,
     ValidationError,
     asymptotic_limit,
@@ -279,6 +282,52 @@ def test_series_accepts_certified_dense_matrix():
         resolvent_apply(make_circular_shift(3), 1.0, x),
         atol=1e-11,
     )
+
+
+@pytest.mark.parametrize("R", INSTANCES, ids=IDS)
+def test_folded_series_matches_matrix_term_loop(R):
+    # reference: the term-by-term sum over powers of the materialized matrix;
+    # eps = 0.1 stops inside the first laps, so the fold's partial laps are hit
+    rng = np.random.default_rng(21)
+    A = materialize(R)
+    for gamma in (0.01, 1.0, 100.0):
+        for eps in (1e-12, 0.1):
+            x = rng.standard_normal(R.dim)
+            x /= np.linalg.norm(x)
+            np.testing.assert_allclose(
+                series_resolvent_apply(R, gamma, x, eps),
+                series_resolvent_apply(A, gamma, x, eps),
+                rtol=0,
+                atol=1e-13,
+            )
+
+
+@pytest.mark.parametrize("gamma", [1e12, 1e300, 1e-320])
+def test_folded_series_is_bounded_at_extreme_gamma(gamma):
+    # 1e12 would take ~2.8e13 applications of R term by term
+    R = make_circular_shift(3)
+    x = np.array([1.0, -2.0, 0.5])
+    np.testing.assert_allclose(
+        series_resolvent_apply(R, gamma, x, 1e-12), resolvent_apply(R, gamma, x), atol=1e-11
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 1024])
+def test_yosida_inverse_tiny_gamma(m):
+    # at m = 1024 and gamma = 1e-310 each coefficient is finite but their sum is not
+    R = make_circular_shift(m)
+    x = np.random.default_rng(m).standard_normal(m)
+    gamma = 1e-300
+    assert abs(gamma * float(np.sum(yosida_inverse(R, gamma).coefficients)) - 1.0) <= 1e-12
+    # gamma times the Yosida inverse is the resolvent at 1/gamma, i.e. the projector here
+    np.testing.assert_allclose(
+        gamma * yosida_inverse_apply(R, gamma, x), projector_fix(R).apply(x), atol=1e-12
+    )
+    for gamma in (1e-310, 5e-324):
+        with pytest.raises(NumericError, match=re.escape(f"overflow at gamma = {gamma!r}")):
+            yosida_inverse(R, gamma)
+        with pytest.raises(NumericError, match=re.escape(f"overflow at gamma = {gamma!r}")):
+            yosida_inverse_apply(R, gamma, x)
 
 
 def test_series_rejects_expansive_matrix():
