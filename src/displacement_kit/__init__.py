@@ -10,9 +10,6 @@ verifies them at desk scale.
 from .errors import DisplacementKitError, NumericError, ParameterError, ValidationError
 from .isometry_core import (
     FiniteOrderIsometry,
-    adjoint_apply,
-    apply,
-    apply_power,
     make_circular_shift,
     make_dense,
     make_rotator,
@@ -28,7 +25,6 @@ from .displacement_calculus import (
     pseudo_inverse,
     set_valued_inverse,
     skew_part,
-    skew_part_folded,
 )
 from .resolvent_yosida import (
     asymptotic_limit,
@@ -66,9 +62,6 @@ __all__ = [
     "PolynomialOperator",
     "Trajectory",
     "ValidationError",
-    "adjoint_apply",
-    "apply",
-    "apply_power",
     "asymptotic_limit",
     "compare",
     "displacement",
@@ -97,7 +90,6 @@ __all__ = [
     "series_resolvent_apply",
     "set_valued_inverse",
     "skew_part",
-    "skew_part_folded",
     "standard_instances",
     "yosida",
     "yosida_apply",

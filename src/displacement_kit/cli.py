@@ -300,7 +300,7 @@ def _dispatch(args) -> int:
 
     if args.command == "iterate":
         R = _instance(args)
-        gamma, _ = _checked_gamma_strict(args)
+        gamma, _ = _checked_gamma(args, args.command)
         trajectory = proximal_point(
             R, gamma, load_vector(args.x0), max_iter=args.max_iter, stop_tol=args.tol
         )
@@ -336,17 +336,6 @@ def _dispatch(args) -> int:
         return 0 if all_pass else 1
 
     raise ParameterError(f"unknown command {args.command!r}")  # unreachable
-
-
-def _checked_gamma_strict(args) -> tuple:
-    g = args.gamma
-    if g <= 0:
-        raise ParameterError(f"--gamma must be positive, got {g:g}")
-    if not (GAMMA_MIN <= g <= GAMMA_MAX):
-        raise ParameterError(
-            f"--gamma {g:g} is outside the supported range [{GAMMA_MIN:g}, {GAMMA_MAX:g}]"
-        )
-    return g, None
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,8 @@ from .errors import NumericError, ParameterError, ValidationError
 RESOLVENT_RESIDUAL_TOL = 1e-10
 #: relative singular-value threshold separating zero from nonzero spectrum
 DEFAULT_RANK_TOL = 1e-10
-#: operator-norm slack accepted by :func:`oracle_projector_fix`
+#: operator-norm slack accepted when an input must be nonexpansive (the one
+#: definition; the matrix series of resolvent_yosida imports it)
 NONEXPANSIVE_TOL = 1e-8
 
 

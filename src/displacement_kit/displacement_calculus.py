@@ -200,20 +200,6 @@ def skew_part(R: FiniteOrderIsometry) -> PolynomialOperator:
     return PolynomialOperator(R, c)
 
 
-def skew_part_folded(R: FiniteOrderIsometry) -> PolynomialOperator:
-    """Alternate half-range form of :func:`skew_part`, pairing R^k with R^{m-k}.
-
-    Used as a cross-check; the two coefficient vectors agree exactly.
-    """
-    m = R.order
-    c = np.zeros(m)
-    for k in range(1, m // 2 + 1):
-        w = (m - 2 * k) / (2 * m)
-        c[k] += w
-        c[(m - k) % m] -= w
-    return PolynomialOperator(R, c)
-
-
 def pseudo_inverse(R: FiniteOrderIsometry) -> PolynomialOperator:
     """Moore-Penrose inverse of the displacement Id - R: c_k = (m - 1 - 2k)/(2m)."""
     m = R.order

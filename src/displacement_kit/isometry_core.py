@@ -11,7 +11,8 @@ per kind: a rotator's polynomial is the single complex scalar p(e^{2*pi*i/m})
 on every 2x2 block, O(n + m); a shift's is a cyclic convolution along the block
 axis, an m x m circulant product in O(m n) for m <= SHIFT_CIRCULANT_MAX_ORDER
 and an FFT in O(n log m) above it; a dense matrix takes m-1 matvecs by
-Horner, O(m n^2).
+Horner, O(m n^2).  R.apply keeps its own per-kind code; the adjoint and the
+powers R^k are the polynomial kernel with a unit coefficient vector, at its cost.
 
 Each kind also states its spectrum, a multiplicity per m-th root of unity, and
 an orthonormal basis of Fix R: in closed form for a rotator and a shift, from
@@ -117,7 +118,11 @@ class FiniteOrderIsometry:
         return (pairs * complex(c, s)).view(np.float64)
 
     def apply(self, x) -> np.ndarray:
-        """Return R x."""
+        """Return R x.
+
+        Kept apart from :meth:`apply_polynomial`: the dense oracle materializes R
+        through this method, so it must not share the polynomial kernels.
+        """
         v = as_vector(x, self.dim)
         if self.kind == ROTATOR:
             return self._rotate(v, self._cos, self._sin)
@@ -129,26 +134,15 @@ class FiniteOrderIsometry:
 
     def adjoint_apply(self, x) -> np.ndarray:
         """Return R* x, which for an order-m isometry equals R^{m-1} x."""
-        v = as_vector(x, self.dim)
-        if self.kind == ROTATOR:
-            return self._rotate(v, self._cos, -self._sin)
-        if self.kind == CIRCULAR_SHIFT:
-            return np.roll(v.reshape(self.order, self._block_dim), -1, axis=0).ravel()
-        return self._matrix.T @ v
+        return self.apply_power(self.order - 1, x)
 
     def apply_power(self, k, x) -> np.ndarray:
-        """Return R^k x with k reduced mod m, so the cost is O(m) applications at worst."""
+        """Return R^k x = R^{k mod m} x: :meth:`apply_polynomial` with a unit coefficient."""
         if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
             raise ParameterError(f"power must be a nonnegative integer, got {k!r}")
-        v = as_vector(x, self.dim)
-        k = int(k) % self.order
-        if k == 0:
-            return v.copy()
-        if self.kind == CIRCULAR_SHIFT:
-            return np.roll(v.reshape(self.order, self._block_dim), k, axis=0).ravel()
-        for _ in range(k):
-            v = self.apply(v)
-        return v
+        unit = np.zeros(self.order)
+        unit[int(k) % self.order] = 1.0
+        return self.apply_polynomial(unit, x)
 
     def apply_polynomial(self, coefficients, x) -> np.ndarray:
         """Return sum_k c_k R^k x for the coefficients (c_0, ..., c_{m-1}).
@@ -297,18 +291,3 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
             f"order check failed: max|A^{m} - I| = {order_dev:.3e} exceeds tol = {tol:.1e}"
         )
     return FiniteOrderIsometry(DENSE, m, n, matrix=A.copy())
-
-
-def apply(R: FiniteOrderIsometry, x) -> np.ndarray:
-    """Functional alias for ``R.apply(x)``."""
-    return R.apply(x)
-
-
-def apply_power(R: FiniteOrderIsometry, k: int, x) -> np.ndarray:
-    """Functional alias for ``R.apply_power(k, x)``."""
-    return R.apply_power(k, x)
-
-
-def adjoint_apply(R: FiniteOrderIsometry, x) -> np.ndarray:
-    """Functional alias for ``R.adjoint_apply(x)``."""
-    return R.adjoint_apply(x)

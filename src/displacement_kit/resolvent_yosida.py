@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import NumericError, ParameterError, ValidationError
+from .dense_oracle import NONEXPANSIVE_TOL
 from .displacement_calculus import PolynomialOperator, projector_fix
 from .isometry_core import FiniteOrderIsometry, as_vector, _check_order
 
@@ -138,8 +139,8 @@ def _yosida_inverse_coefficients(m: int, g: float) -> np.ndarray:
     return c
 
 
-#: operator-norm slack allowed when certifying a dense series input as nonexpansive
-NONEXPANSIVE_TOL = 1e-8
+#: most terms (matvecs) the series sums for a matrix S; about gamma = 3.6e4 at eps = 1e-12
+SERIES_MAX_TERMS = 1_000_000
 
 
 def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
@@ -148,10 +149,11 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
     Sums sum_{k<=K} q^k (1-q) S^k x with q = gamma/(1+gamma) and
     K = ceil(log eps / log q), so the geometric tail bounds the truncation
     error by eps * ||x||.  S may be a FiniteOrderIsometry or a square matrix;
-    matrices are certified nonexpansive (spectral norm <= 1 + 1e-8) first and
-    summed term by term, K matvecs.  For a FiniteOrderIsometry the terms are
-    folded by R^k = R^{k mod m} into m coefficients and applied once, O(m)
-    work and memory for every gamma.
+    matrices are summed term by term, K matvecs, after two checks: NumericError
+    when K is not finite or exceeds SERIES_MAX_TERMS, ValidationError when the
+    spectral norm exceeds 1 + NONEXPANSIVE_TOL.  For a FiniteOrderIsometry the
+    terms are folded by R^k = R^{k mod m} into m coefficients and applied once,
+    O(m) work and memory for every gamma.
     """
     g = _check_gamma(gamma)
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
@@ -166,6 +168,11 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
     A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ParameterError(f"series operator must be square, got shape {A.shape}")
+    if not ratio <= SERIES_MAX_TERMS:  # inf fails too
+        raise NumericError(
+            f"series at gamma = {g!r}, eps = {eps!r} needs K ~ {ratio:.3g} terms, "
+            f"more than SERIES_MAX_TERMS = {SERIES_MAX_TERMS}"
+        )
     norm_estimate = float(np.linalg.norm(A, 2))
     if norm_estimate > 1.0 + NONEXPANSIVE_TOL:
         raise ValidationError(

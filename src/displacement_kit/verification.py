@@ -27,7 +27,6 @@ from .displacement_calculus import (
     pseudo_inverse,
     set_valued_inverse,
     skew_part,
-    skew_part_folded,
 )
 from .isometry_core import FiniteOrderIsometry, make_circular_shift, make_dense, make_rotator
 from .iteration_lab import ergodic_mean, lipschitz_estimate, proximal_point
@@ -89,6 +88,27 @@ def standard_instances(
     return instances
 
 
+def skew_part_folded(R: FiniteOrderIsometry) -> PolynomialOperator:
+    """Alternate half-range form of :func:`skew_part`, pairing R^k with R^{m-k}.
+
+    Used as a cross-check; the two coefficient vectors agree exactly.
+    """
+    m = R.order
+    c = np.zeros(m)
+    for k in range(1, m // 2 + 1):
+        w = (m - 2 * k) / (2 * m)
+        c[k] += w
+        c[(m - k) % m] -= w
+    return PolynomialOperator(R, c)
+
+
+def repeated_apply(R: FiniteOrderIsometry, k: int, x) -> np.ndarray:
+    """R^k x by k calls of R.apply: a reference that does not go through apply_power."""
+    for _ in range(k):
+        x = R.apply(x)
+    return x
+
+
 def _unit_vectors(rng: np.random.Generator, dim: int, count: int) -> list:
     out = []
     for _ in range(count):
@@ -142,10 +162,12 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
     for R in instances:
         for x in _unit_vectors(rng, R.dim, 16):
             norm_devs.append(abs(float(np.linalg.norm(R.apply(x))) - float(np.linalg.norm(x))))
-            order_devs.append(_max_abs(R.apply_power(R.order, x) - x))
+            order_devs.append(_max_abs(repeated_apply(R, R.order, x) - x))
             y = rng.standard_normal(R.dim)
             adjoint_devs.append(abs(float(R.apply(x) @ y) - float(x @ R.adjoint_apply(y))))
-            adjoint_power_devs.append(_max_abs(R.adjoint_apply(x) - R.apply_power(R.order - 1, x)))
+            adjoint_power_devs.append(
+                _max_abs(R.adjoint_apply(x) - repeated_apply(R, R.order - 1, x))
+            )
         mat = materialize(R)
         acc = np.eye(R.dim)
         for k in range(R.order):
@@ -329,14 +351,14 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
         for gamma in LIPSCHITZ_GAMMAS:
             bound = 2.0 / (2.0 + gamma)
             inverse = resolvent_inverse(R, gamma)
-            lip = lipschitz_estimate(inverse, seed=seed, n_pairs=16)
+            lip = lipschitz_estimate(inverse)
             contraction.append(max(0.0, lip - bound))
             checked = [inverse]
             if R.kind == "rotator" and R.order == 2:
                 sharpness.append(abs(lip - bound))
             if R.kind == "circular_shift":
                 checked.append(resolvent(R, gamma))
-                lip_fwd = lipschitz_estimate(checked[-1], seed=seed, n_pairs=16)
+                lip_fwd = lipschitz_estimate(checked[-1])
                 no_contraction.append(max(0.0, 1.0 - lip_fwd))
             for op in checked:
                 svd_norm = float(np.linalg.norm(materialize(op), 2))

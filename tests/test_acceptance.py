@@ -3,32 +3,29 @@
 Every test prints a single machine-greppable pass/fail line; the instance
 grid covers every kind, orders 2..8, and dimensions up to 64.  Run with
 ``pytest -s tests/test_acceptance.py`` to see the lines as they appear.
+
+A criterion that the invariant battery checks on the same grid, with the same
+quantity and the same or a tighter bound, reads the battery's report by label;
+``run_verification(seed=0)`` builds GRID (its instances use seed + 7).
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from displacement_kit import (
-    displacement,
     displacement_apply,
-    ergodic_mean,
-    lipschitz_estimate,
     materialize,
-    oracle_pinv,
-    oracle_projector_fix,
-    oracle_resolvent,
     projector_fix,
     projector_fix_complement,
-    proximal_point,
     pseudo_inverse,
     resolvent,
     resolvent_apply,
-    resolvent_coefficients,
     resolvent_inverse,
+    run_verification,
     series_resolvent_apply,
     skew_part,
-    skew_part_folded,
 )
 from displacement_kit.verification import reproduce_worked_examples, standard_instances
 
@@ -46,70 +43,68 @@ def _line(number, description, worst, tol, ok=None, extra=""):
     return ok
 
 
-def test_criterion_01_worked_example_reproduction():
+@pytest.fixture(scope="module")
+def battery():
+    """Reports of one battery run on GRID, by label, and the run's wall time."""
     start = time.monotonic()
-    devs = [
-        row["max_abs_deviation"]
-        for gamma in (0.5, 1.0, 2.0)
-        for row in reproduce_worked_examples(gamma)
-    ]
+    reports = run_verification(seed=0)
+    return {r.label: r for r in reports}, time.monotonic() - start
+
+
+def _battery_line(number, description, battery, checks, extra=""):
+    """Criterion line from battery reports.  ``checks`` pairs each label with the
+    criterion's bound; the report passes only within a tolerance at most that."""
+    reports, _ = battery
+    ok, worst, parts = True, 0.0, []
+    for label, bound in checks:
+        report = reports[label]
+        ok = ok and report.passed and report.tolerance <= bound
+        worst = max(worst, report.max_abs_deviation)
+        parts.append(f"  [{label}]={report.max_abs_deviation:.2e}(<={report.tolerance:.0e})")
+    tol = max(bound for _, bound in checks)
+    return _line(number, description, worst, tol, ok=ok, extra="".join(parts) + extra)
+
+
+def test_criterion_01_worked_example_reproduction(battery):
+    start = time.monotonic()
+    for gamma in (0.5, 1.0, 2.0):
+        reproduce_worked_examples(gamma)
     elapsed = time.monotonic() - start
-    ok = _line(
+    ok = _battery_line(
         1,
         "tabulated matrices at gamma in {1/2, 1, 2}",
-        max(devs),
-        1e-12,
+        battery,
+        (("tabulated small-instance matrices are reproduced", 1e-12),),
         extra=f"  runtime={elapsed:.3f}s",
     )
     assert ok
     assert elapsed < 1.0
 
 
-def test_criterion_02_oracle_equivalence():
-    start = time.monotonic()
-    res_dev = pinv_dev = proj_dev = 0.0
-    for R in GRID:
-        mat = materialize(R)
-        for gamma in ORACLE_GAMMAS:
-            res_dev = max(
-                res_dev,
-                float(np.max(np.abs(materialize(resolvent(R, gamma)) - oracle_resolvent(mat, gamma)))),
-            )
-        pinv_dev = max(
-            pinv_dev,
-            float(np.max(np.abs(materialize(pseudo_inverse(R)) - oracle_pinv(np.eye(R.dim) - mat)))),
-        )
-        proj_dev = max(
-            proj_dev,
-            float(np.max(np.abs(materialize(projector_fix(R)) - oracle_projector_fix(mat)))),
-        )
-    elapsed = time.monotonic() - start
-    ok = (res_dev <= 1e-10) and (pinv_dev <= 1e-9) and (proj_dev <= 1e-9)
-    _line(
+def test_criterion_02_oracle_equivalence(battery):
+    elapsed = battery[1]  # the whole battery, these oracle comparisons included
+    ok = _battery_line(
         2,
         "closed forms vs dense oracle over the full grid",
-        max(res_dev, pinv_dev, proj_dev),
-        1e-9,
-        ok=ok,
-        extra=f"  resolvent={res_dev:.2e}(<=1e-10) pinv={pinv_dev:.2e} projector={proj_dev:.2e} runtime={elapsed:.1f}s",
+        battery,
+        (
+            ("resolvent matches the linear-solve oracle", 1e-10),
+            ("pseudoinverse matches the SVD oracle", 1e-9),
+            ("fixed projector matches the nullspace oracle", 1e-9),
+        ),
+        extra=f"  runtime={elapsed:.1f}s",
     )
     assert ok
     assert elapsed < 30.0
 
 
-def test_criterion_03_moore_penrose_axioms():
-    worst = 0.0
-    for R in GRID:
-        m_mat = materialize(displacement(R))
-        d_mat = materialize(pseudo_inverse(R))
-        worst = max(
-            worst,
-            float(np.max(np.abs(m_mat @ d_mat @ m_mat - m_mat))),
-            float(np.max(np.abs(d_mat @ m_mat @ d_mat - d_mat))),
-            float(np.max(np.abs((m_mat @ d_mat).T - m_mat @ d_mat))),
-            float(np.max(np.abs((d_mat @ m_mat).T - d_mat @ m_mat))),
-        )
-    assert _line(3, "Moore-Penrose axioms for the displacement", worst, 1e-10)
+def test_criterion_03_moore_penrose_axioms(battery):
+    assert _battery_line(
+        3,
+        "Moore-Penrose axioms for the displacement",
+        battery,
+        (("Moore-Penrose axioms for the displacement", 1e-10),),
+    )
 
 
 def test_criterion_04_double_displacement_identity():
@@ -124,42 +119,25 @@ def test_criterion_04_double_displacement_identity():
     assert _line(4, "M(2T(x-Rx)) = x - R^2 x on 100 vectors per instance", worst, 1e-10)
 
 
-def test_criterion_05_skew_operator_properties():
-    worst = folded_worst = 0.0
-    for R in GRID:
-        t_mat = materialize(skew_part(R))
-        comp = materialize(projector_fix_complement(R))
-        worst = max(
-            worst,
-            float(np.max(np.abs(t_mat.T + t_mat))),
-            float(np.max(np.abs(comp @ t_mat - t_mat))),
-        )
-        folded_worst = max(
-            folded_worst, float(np.max(np.abs(t_mat - materialize(skew_part_folded(R)))))
-        )
-    ok = worst <= 1e-10 and folded_worst <= 1e-12
-    _line(
+def test_criterion_05_skew_operator_properties(battery):
+    assert _battery_line(
         5,
         "skew-adjointness, range containment, folded form",
-        max(worst, folded_worst),
-        1e-10,
-        ok=ok,
-        extra=f"  folded={folded_worst:.2e}(<=1e-12)",
+        battery,
+        (
+            ("skew companion is skew with range in the complement", 1e-10),
+            ("skew companion folded form matches", 1e-12),
+        ),
     )
-    assert ok
 
 
-def test_criterion_06_coefficient_simplex():
-    worst = 0.0
-    healthy = True
-    for m in range(2, 9):
-        for gamma in np.logspace(-8, 8, 33):
-            c = resolvent_coefficients(m, float(gamma))
-            healthy = healthy and bool(np.all(np.isfinite(c))) and bool(np.all(c > 0))
-            worst = max(worst, abs(float(np.sum(c)) - 1.0))
-    ok = healthy and worst <= 1e-14
-    _line(6, "coefficients positive, summing to 1, gamma in [1e-8, 1e8]", worst, 1e-14, ok=ok)
-    assert ok
+def test_criterion_06_coefficient_simplex(battery):
+    assert _battery_line(
+        6,
+        "coefficients positive, summing to 1, gamma in [1e-8, 1e8]",
+        battery,
+        (("resolvent coefficients stay in the simplex", 1e-14),),
+    )
 
 
 def test_criterion_07_firm_nonexpansiveness():
@@ -179,28 +157,17 @@ def test_criterion_07_firm_nonexpansiveness():
     assert _line(7, "firm nonexpansiveness on 1000 pairs per instance", worst, 1e-10)
 
 
-def test_criterion_08_contraction_bounds():
-    excess = equality_gap = shift_gap = 0.0
-    for R in GRID:
-        for gamma in (0.1, 1.0, 10.0):
-            bound = 2.0 / (2.0 + gamma)
-            lip = lipschitz_estimate(resolvent_inverse(R, gamma), seed=0, n_pairs=8)
-            excess = max(excess, lip - bound)
-            if R.kind == "rotator" and R.order == 2:
-                equality_gap = max(equality_gap, abs(lip - bound))
-            if R.kind == "circular_shift":
-                lip_fwd = lipschitz_estimate(resolvent(R, gamma), seed=0, n_pairs=8)
-                shift_gap = max(shift_gap, 1.0 - lip_fwd)
-    ok = excess <= 1e-8 and equality_gap <= 1e-8 and shift_gap <= 1e-12
-    _line(
+def test_criterion_08_contraction_bounds(battery):
+    assert _battery_line(
         8,
         "inverse-resolvent Lipschitz <= 2/(2+gamma), sharp at m=2 rotator",
-        max(excess, equality_gap),
-        1e-8,
-        ok=ok,
-        extra=f"  shift J lower gap={shift_gap:.2e}(<=1e-12)",
+        battery,
+        (
+            ("inverse resolvent contracts with constant 2/(2+gamma)", 1e-8),
+            ("contraction constant is attained by the order-2 rotator", 1e-8),
+            ("resolvent is not a contraction when the fixed space is nontrivial", 1e-12),
+        ),
     )
-    assert ok
 
 
 def test_criterion_09_strong_monotonicity():
@@ -263,28 +230,14 @@ def test_criterion_11_series_matches_closed_form():
     assert _line(11, "truncated series vs closed form at eps=1e-12", worst, 1e-11)
 
 
-def test_criterion_12_ergodic_mean_and_proximal_limit():
-    rng = np.random.default_rng(2029)
-    ergodic_worst = prox_worst = 0.0
-    iterations_ok = True
-    for R in GRID:
-        x0 = rng.standard_normal(R.dim)
-        target = projector_fix(R).apply(x0)
-        ergodic_worst = max(
-            ergodic_worst, float(np.max(np.abs(ergodic_mean(R, x0, 64 * R.order) - target)))
-        )
-        trajectory = proximal_point(R, 1.0, x0, max_iter=10_000, stop_tol=1e-13)
-        iterations_ok = iterations_ok and trajectory.iterations_used <= 10_000
-        prox_worst = max(
-            prox_worst, float(np.linalg.norm(trajectory.limit_estimate - target))
-        )
-    ok = ergodic_worst <= 1e-10 and prox_worst <= 1e-8 and iterations_ok
-    _line(
+def test_criterion_12_ergodic_mean_and_proximal_limit(battery):
+    # the battery iterates with max_iter=10_000 and the tighter stop_tol=1e-14
+    assert _battery_line(
         12,
         "ergodic mean at 64m and proximal-point limit",
-        max(ergodic_worst, prox_worst),
-        1e-8,
-        ok=ok,
-        extra=f"  ergodic={ergodic_worst:.2e}(<=1e-10) prox={prox_worst:.2e}(<=1e-8)",
+        battery,
+        (
+            ("ergodic mean at 64m recovers the fixed projector", 1e-10),
+            ("proximal point converges to the projected start", 1e-8),
+        ),
     )
-    assert ok

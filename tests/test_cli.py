@@ -187,6 +187,17 @@ def test_invalid_order_exits_2(capsys):
     assert "order" in err
 
 
+@pytest.mark.parametrize("gamma", ["1e13", "1e-13"])
+def test_iterate_out_of_range_gamma_exits_2(capsys, tmp_path, gamma):
+    x0 = tmp_path / "x0.json"
+    save_vector(x0, [1.0, 2.0, 3.0])
+    code, out, err = run(
+        capsys, "iterate", "--kind", "shift", "--m", "3", "--gamma", gamma, "--x0", str(x0)
+    )
+    assert code == 2 and out == ""
+    assert f"--gamma {float(gamma):g} is outside the supported range [1e-12, 1e+12]" in err
+
+
 def test_out_of_range_gamma_substitutes_limit(capsys):
     code, out, err = run(
         capsys, "resolvent", "--kind", "shift", "--m", "3", "--gamma", "1e15", "--materialize"

@@ -22,12 +22,11 @@ from displacement_kit import (
     resolvent_inverse,
     set_valued_inverse,
     skew_part,
-    skew_part_folded,
     yosida,
     yosida_inverse,
 )
 from displacement_kit.isometry_core import SHIFT_CIRCULANT_MAX_ORDER
-from displacement_kit.verification import standard_instances
+from displacement_kit.verification import skew_part_folded, standard_instances
 
 INSTANCES = standard_instances(max_m=6, max_dim=12, seed=3)
 IDS = lambda R: f"{R.kind}-m{R.order}-n{R.dim}"

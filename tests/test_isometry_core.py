@@ -13,7 +13,7 @@ from displacement_kit import (
     make_rotator,
     materialize,
 )
-from displacement_kit.verification import standard_instances
+from displacement_kit.verification import repeated_apply, standard_instances
 
 
 def rotation_matrix(theta):
@@ -164,13 +164,48 @@ def test_isometry_properties(R):
         assert abs(np.linalg.norm(R.apply(x)) - np.linalg.norm(x)) <= 1e-12 * max(
             1.0, np.linalg.norm(x)
         )
-        np.testing.assert_allclose(R.apply_power(R.order, x), x, atol=1e-12)
+        np.testing.assert_allclose(repeated_apply(R, R.order, x), x, atol=1e-12)
         assert abs(R.apply(x) @ y - x @ R.adjoint_apply(y)) <= 1e-12 * max(
             1.0, abs(R.apply(x) @ y)
         )
         np.testing.assert_allclose(
-            R.adjoint_apply(x), R.apply_power(R.order - 1, x), atol=1e-12
+            R.adjoint_apply(x), repeated_apply(R, R.order - 1, x), atol=1e-12
         )
+
+
+POWER_INSTANCES = (
+    [make_rotator(m, blocks=2) for m in (2, 3, 1024)]
+    + [make_circular_shift(m, 2) for m in (2, 128, 129, 1024)]
+    + [R for R in INSTANCES if R.kind == "dense"]
+)
+
+
+@pytest.mark.parametrize("R", POWER_INSTANCES, ids=lambda R: f"{R.kind}-m{R.order}-n{R.dim}")
+def test_powers_and_adjoint_match_repeated_apply(R):
+    m = R.order
+    x = np.random.default_rng(m).standard_normal(R.dim)
+    power = x  # R^k x by k calls of R.apply
+    for k in range(m):
+        np.testing.assert_allclose(R.apply_power(k, x), power, atol=1e-12, err_msg=f"k={k}")
+        power = R.apply(power)
+    np.testing.assert_allclose(R.apply_power(2 * m + 1, x), R.apply(x), atol=1e-12)
+    np.testing.assert_allclose(R.adjoint_apply(x), repeated_apply(R, m - 1, x), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "R", [make_rotator(5, 2), make_circular_shift(4, 2), INSTANCES[-1]], ids=lambda R: R.kind
+)
+def test_apply_does_not_use_the_polynomial_kernel(R, monkeypatch):
+    # the oracle's matrix comes from R.apply, so it must stay independent of the kernels
+    expected = materialize(R)
+
+    def broken(self, coefficients, x):
+        raise AssertionError("apply_polynomial called")
+
+    monkeypatch.setattr(FiniteOrderIsometry, "apply_polynomial", broken)
+    x = np.arange(R.dim, dtype=float)
+    np.testing.assert_allclose(R.apply(x), expected @ x, atol=1e-12)
+    np.testing.assert_array_equal(materialize(R), expected)
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=lambda R: f"{R.kind}-m{R.order}-n{R.dim}")

@@ -1,6 +1,7 @@
 """Closed-form resolvents, Yosida approximations, series form, and limits."""
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from displacement_kit import (
     yosida_inverse,
     yosida_inverse_apply,
 )
+from displacement_kit.resolvent_yosida import SERIES_MAX_TERMS
 from displacement_kit.verification import standard_instances
 
 INSTANCES = standard_instances(max_m=6, max_dim=12, seed=3)
@@ -333,6 +335,17 @@ def test_yosida_inverse_tiny_gamma(m):
 def test_series_rejects_expansive_matrix():
     with pytest.raises(ValidationError, match="nonexpansive"):
         series_resolvent_apply(1.5 * np.eye(2), 1.0, [1.0, 0.0], 1e-10)
+
+
+@pytest.mark.parametrize("gamma", [1e12, 1e307])
+def test_series_on_a_matrix_refuses_more_terms_than_its_budget(gamma):
+    # K ~ gamma ln(1/eps): ~2.8e13 matvecs at 1e12, and not a finite float at 1e307
+    start = time.perf_counter()
+    with pytest.raises(NumericError, match=re.escape(f"gamma = {gamma!r}, eps = 1e-12")) as err:
+        series_resolvent_apply(np.eye(2), gamma, [1.0, 0.0], 1e-12)
+    assert time.perf_counter() - start < 0.1
+    assert "needs K ~ " in str(err.value)
+    assert f"SERIES_MAX_TERMS = {SERIES_MAX_TERMS}" in str(err.value)
 
 
 def test_series_rejects_bad_parameters():
