@@ -106,8 +106,8 @@ def oracle_resolvent(A, gamma: float) -> np.ndarray:
     would misfire for gamma beyond ~1e5.
     """
     M = _square(A)
-    if not (gamma > 0):
-        raise ParameterError(f"gamma must be positive, got {gamma!r}")
+    if not 0 < gamma < np.inf:  # NaN fails too
+        raise ParameterError(f"gamma must be a positive finite real, got {gamma!r}")
     n = M.shape[0]
     eye = np.eye(n)
     system = (1.0 + gamma) * eye - gamma * M
@@ -117,30 +117,29 @@ def oracle_resolvent(A, gamma: float) -> np.ndarray:
         raise NumericError(f"resolvent system is singular: {exc}") from exc
     residual = float(np.max(np.abs(system @ X - eye)))
     allowed = RESOLVENT_RESIDUAL_TOL * (1.0 + gamma)
-    if residual > allowed:
+    if not residual <= allowed:  # NaN fails too
         raise NumericError(
             f"resolvent solve residual {residual:.3e} exceeds {allowed:.3e}"
         )
     return X
 
 
-def oracle_pinv(A, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose inverse by SVD, zeroing singular values below rank_tol * sigma_max."""
+def oracle_pinv(A) -> np.ndarray:
+    """Moore-Penrose inverse by SVD, zeroing singular values below DEFAULT_RANK_TOL * sigma_max."""
     M = np.asarray(A, dtype=float)
     if M.ndim != 2:
         raise ParameterError(f"expected a matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ParameterError("matrix entries must all be finite")
-    return np.linalg.pinv(M, rcond=rank_tol)
+    return np.linalg.pinv(M, rcond=DEFAULT_RANK_TOL)
 
 
-def oracle_projector_fix(A, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def oracle_projector_fix(A) -> np.ndarray:
     """Orthogonal projector onto Fix A = ker(Id - A), via the SVD nullspace of Id - A.
 
-    Only nonexpansive A are accepted (spectral norm <= 1 + 1e-8).  Singular
-    values of Id - A below rank_tol * max(1, sigma_max) count as zero; for an
-    isometry of order m the nonzero ones sit above 2*sin(pi/m), far from the
-    threshold.
+    Only nonexpansive A are accepted (spectral norm <= 1 + 1e-8).  Singular values
+    of Id - A below DEFAULT_RANK_TOL * max(1, sigma_max) count as zero; for an
+    isometry of order m the nonzero ones sit above 2*sin(pi/m), far above it.
     """
     M = _square(A)
     norm = float(np.linalg.norm(M, 2))
@@ -151,7 +150,7 @@ def oracle_projector_fix(A, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         )
     n = M.shape[0]
     _, s, vt = np.linalg.svd(np.eye(n) - M)
-    cutoff = rank_tol * max(1.0, float(s[0]) if s.size else 1.0)
+    cutoff = DEFAULT_RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)
     null_rows = vt[s <= cutoff] if s.size else vt
     if null_rows.shape[0] == 0:
         return np.zeros((n, n))

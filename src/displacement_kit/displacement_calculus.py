@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .isometry_core import FiniteOrderIsometry, _as_coefficients, as_vector
+from .isometry_core import FiniteOrderIsometry, _as_coefficients, _check_real, as_vector
 
 #: default relative threshold for the range-membership test of the set-valued inverse
 RANGE_MEMBERSHIP_TOL = 1e-9
@@ -221,8 +221,7 @@ def set_valued_inverse(R: FiniteOrderIsometry, y, tol: float = RANGE_MEMBERSHIP_
     ``tol * ||y||``.  The test is relative, so it does not depend on the scale
     of y; y = 0 is in the range.
     """
-    if not (tol > 0):
-        raise ParameterError(f"tol must be positive, got {tol!r}")
+    tol = _check_real(tol, "tol")
     v = as_vector(y, R.dim)
     fixed_component = projector_fix(R).apply(v)
     if float(np.linalg.norm(fixed_component)) > tol * float(np.linalg.norm(v)):

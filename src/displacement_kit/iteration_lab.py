@@ -3,15 +3,13 @@ and Lipschitz constants."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
 from .dense_oracle import _as_apply, materialize
 from .displacement_calculus import PolynomialOperator
-from .isometry_core import FiniteOrderIsometry, as_vector
+from .isometry_core import FiniteOrderIsometry, _check_int, _check_real, as_vector
 from .resolvent_yosida import resolvent
 
 
@@ -48,16 +46,14 @@ def proximal_point(
     The stopping rule is the step-size residual; for these firmly nonexpansive
     linear maps the iterates converge to the fixed-space projection of x0.
     """
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    if not (isinstance(stop_tol, (int, float)) and math.isfinite(stop_tol) and stop_tol >= 0):
-        raise ParameterError(f"stop_tol must be a nonnegative finite real, got {stop_tol!r}")
+    max_iter = _check_int(max_iter, "max_iter", 1)
+    stop_tol = _check_real(stop_tol, "stop_tol", allow_zero=True)
     J = resolvent(R, gamma)
     x = as_vector(x0, R.dim)
     points = [x]
     residuals: list = []
     converged = False
-    for _ in range(int(max_iter)):
+    for _ in range(max_iter):
         x_next = J.apply(points[-1])
         step = float(np.linalg.norm(x_next - points[-1]))
         points.append(x_next)
@@ -82,9 +78,7 @@ def ergodic_mean(R: FiniteOrderIsometry, x0, n: int) -> np.ndarray:
     Whenever n is a multiple of the order this equals the fixed-space
     projection of x0 exactly; in general the deviation decays like O(m/n).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = _check_int(n, "n", 1)
     # n - 1 = laps*m + last: R^j occurs laps + 1 times for j <= last, laps times above
     laps, last = divmod(n - 1, R.order)
     coefficients = np.full(R.order, laps / n)

@@ -15,17 +15,7 @@ import numpy as np
 from .errors import NumericError, ParameterError, ValidationError
 from .dense_oracle import NONEXPANSIVE_TOL
 from .displacement_calculus import PolynomialOperator, projector_fix
-from .isometry_core import FiniteOrderIsometry, as_vector, _check_order
-
-
-def _check_gamma(gamma) -> float:
-    try:
-        g = float(gamma)
-    except (TypeError, ValueError):
-        raise ParameterError(f"gamma must be a positive real number, got {gamma!r}") from None
-    if not math.isfinite(g) or g <= 0.0:
-        raise ParameterError(f"gamma must be a positive finite real, got {gamma!r}")
-    return g
+from .isometry_core import FiniteOrderIsometry, _check_int, _check_real, as_vector
 
 
 def resolvent_coefficients(m: int, gamma: float) -> np.ndarray:
@@ -35,8 +25,8 @@ def resolvent_coefficients(m: int, gamma: float) -> np.ndarray:
     positive and sum to 1, so the resolvent is a convex combination of the
     powers of R.
     """
-    m = _check_order(m)
-    g = _check_gamma(gamma)
+    m = _check_int(m, "order", 2)
+    g = _check_real(gamma, "gamma")
     # 1 - q = 1/(1+gamma) without cancellation; log(q) = -log1p(1/gamma) avoids
     # q ~ 1 rounding
     return _geometric_coefficients(m, g / (1.0 + g), 1.0 / (1.0 + g), -math.log1p(1.0 / g))
@@ -73,7 +63,7 @@ def resolvent_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperato
     1/gamma is never formed, so every gamma the forward resolvent accepts works;
     as gamma -> 0 the operator tends to the projector onto (Fix R)^perp.
     """
-    g = _check_gamma(gamma)
+    g = _check_real(gamma, "gamma")
     c = -_inverse_resolvent_coefficients(R.order, g)
     c[0] += 1.0
     return PolynomialOperator(R, c)
@@ -87,14 +77,14 @@ def resolvent_inverse_apply(R: FiniteOrderIsometry, gamma: float, x) -> np.ndarr
     resolvent_inverse_apply + resolvent_apply(.., 1/gamma, ..) = Id holds to
     rounding.
     """
-    g = _check_gamma(gamma)
+    g = _check_real(gamma, "gamma")
     v = as_vector(x, R.dim)
     return v - PolynomialOperator(R, _inverse_resolvent_coefficients(R.order, g)).apply(v)
 
 
 def yosida(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
     """Yosida approximation of Id - R with index gamma: (Id - resolvent)/gamma."""
-    g = _check_gamma(gamma)
+    g = _check_real(gamma, "gamma")
     c = -resolvent_coefficients(R.order, g)
     c[0] += 1.0
     return PolynomialOperator(R, c / g)
@@ -102,7 +92,7 @@ def yosida(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
 
 def yosida_apply(R: FiniteOrderIsometry, gamma: float, x) -> np.ndarray:
     """Apply the Yosida approximation of Id - R: (x - resolvent x)/gamma."""
-    g = _check_gamma(gamma)
+    g = _check_real(gamma, "gamma")
     v = as_vector(x, R.dim)
     return (v - resolvent(R, g).apply(v)) / g
 
@@ -115,13 +105,13 @@ def yosida_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
     1/gamma; NumericError when their sum 1/gamma overflows, i.e. for gamma
     below ~5.6e-309.
     """
-    g = _check_gamma(gamma)
+    g = _check_real(gamma, "gamma")
     return PolynomialOperator(R, _yosida_inverse_coefficients(R.order, g))
 
 
 def yosida_inverse_apply(R: FiniteOrderIsometry, gamma: float, x) -> np.ndarray:
     """Apply the Yosida approximation of (Id - R)^{-1} to x (see :func:`yosida_inverse`)."""
-    g = _check_gamma(gamma)
+    g = _check_real(gamma, "gamma")
     return PolynomialOperator(R, _yosida_inverse_coefficients(R.order, g)).apply(x)
 
 
@@ -155,9 +145,8 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
     terms are folded by R^k = R^{k mod m} into m coefficients and applied once,
     O(m) work and memory for every gamma.
     """
-    g = _check_gamma(gamma)
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
-        raise ParameterError(f"eps must be a positive finite real, got {eps!r}")
+    g = _check_real(gamma, "gamma")
+    eps = _check_real(eps, "eps")
     log_q = -math.log1p(1.0 / g)
     ratio = math.log(eps) / log_q  # K = ceil(ratio); inf only for gamma beyond ~2e305
     if isinstance(S, FiniteOrderIsometry):

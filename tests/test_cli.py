@@ -132,6 +132,17 @@ def test_dense_file_instance(capsys, tmp_path):
     assert data["kind"] == "dense" and data["dim"] == 3
 
 
+def test_dense_file_rejects_infinite_tolerance(capsys, tmp_path):
+    mat = tmp_path / "bad.json"
+    save_matrix(mat, [[2.0, 0.0], [0.0, 3.0]])
+    code, out, err = run(
+        capsys, "show", "--kind", "dense-file", "--m", "2", "--matrix-path", str(mat),
+        "--dense-tol", "inf",
+    )
+    assert code == 2 and out == ""
+    assert "tol must be a positive finite real, got inf" in err
+
+
 def test_dense_file_requires_matrix_path(capsys):
     code, out, err = run(capsys, "show", "--kind", "dense-file", "--m", "3")
     assert code == 2

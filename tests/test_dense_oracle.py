@@ -87,6 +87,13 @@ def test_oracle_resolvent_rejects_bad_gamma():
         oracle_resolvent(np.eye(2), 0.0)
 
 
+@pytest.mark.parametrize("gamma", [np.inf, np.nan])
+def test_oracle_resolvent_rejects_non_finite_gamma(gamma):
+    # at gamma = inf the solve gives NaN, whose residual passed a `>` test
+    with pytest.raises(ParameterError, match="gamma must be a positive finite real"):
+        oracle_resolvent(materialize(make_circular_shift(3)), gamma)
+
+
 # --- oracle pseudoinverse ------------------------------------------------------------
 
 

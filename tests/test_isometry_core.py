@@ -8,12 +8,23 @@ from displacement_kit import (
     NumericError,
     ParameterError,
     ValidationError,
+    ergodic_mean,
     make_circular_shift,
     make_dense,
     make_rotator,
     materialize,
+    oracle_projector_fix,
+    proximal_point,
+    resolvent_coefficients,
+    series_resolvent_apply,
+    set_valued_inverse,
 )
-from displacement_kit.verification import repeated_apply, standard_instances
+from displacement_kit.verification import (
+    conjugated_dense,
+    random_orthogonal,
+    repeated_apply,
+    standard_instances,
+)
 
 
 def rotation_matrix(theta):
@@ -155,6 +166,51 @@ def test_apply_power_rejects_negative_power():
         R.apply_power(-1, [1.0, 0.0])
 
 
+SHIFT3 = make_circular_shift(3)
+BAD_ARGUMENTS = {  # (call, name in the message); bool is no integer and no real here
+    "order=True": (lambda: make_rotator(True), "order"),
+    "blocks=True": (lambda: make_rotator(3, blocks=True), "blocks"),
+    "blocks=2.0": (lambda: make_rotator(3, blocks=2.0), "blocks"),
+    "block_dim=True": (lambda: make_circular_shift(3, block_dim=True), "block_dim"),
+    "power=True": (lambda: SHIFT3.apply_power(True, [1.0, 2.0, 3.0]), "power"),
+    "n=True": (lambda: ergodic_mean(SHIFT3, [1.0, 2.0, 3.0], True), "n"),
+    "max_iter=True": (
+        lambda: proximal_point(SHIFT3, 1.0, [1.0, 0.0, 0.0], max_iter=True),
+        "max_iter",
+    ),
+    "dense tol=inf": (lambda: make_dense([[2.0, 0.0], [0.0, 3.0]], 2, tol=np.inf), "tol"),
+    "dense tol=nan": (lambda: make_dense(np.eye(2), 2, tol=np.nan), "tol"),
+    "solve tol=inf": (lambda: set_valued_inverse(SHIFT3, [1.0, 1.0, 1.0], tol=np.inf), "tol"),
+    "eps=True": (lambda: series_resolvent_apply(SHIFT3, 1.0, [1.0, 0.0, 0.0], True), "eps"),
+    "stop_tol=True": (
+        lambda: proximal_point(SHIFT3, 1.0, [1.0, 0.0, 0.0], stop_tol=True),
+        "stop_tol",
+    ),
+    "stop_tol=inf": (
+        lambda: proximal_point(SHIFT3, 1.0, [1.0, 0.0, 0.0], stop_tol=np.inf),
+        "stop_tol",
+    ),
+    "gamma=True": (lambda: resolvent_coefficients(3, True), "gamma"),
+    "gamma='1'": (lambda: resolvent_coefficients(3, "1"), "gamma"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS, ids=str)
+def test_argument_checks_reject_bool_and_non_finite(case):
+    call, name = BAD_ARGUMENTS[case]
+    with pytest.raises(ParameterError, match=f"^{name} must be"):
+        call()
+
+
+def test_argument_checks_accept_numpy_scalars():
+    R = make_rotator(np.int64(3), blocks=np.int32(2))
+    assert R.dim == 4
+    assert make_dense(np.eye(2), 2, tol=np.float32(1e-6)).dim == 2
+    np.testing.assert_allclose(resolvent_coefficients(2, np.float64(1.0)), [2 / 3, 1 / 3])
+    trajectory = proximal_point(SHIFT3, 1.0, [1.0, 0.0, 0.0], max_iter=np.int64(2), stop_tol=0)
+    assert trajectory.iterations_used == 2
+
+
 @pytest.mark.parametrize("R", INSTANCES, ids=lambda R: f"{R.kind}-m{R.order}-n{R.dim}")
 def test_isometry_properties(R):
     rng = np.random.default_rng(11)
@@ -221,9 +277,26 @@ def test_materialized_powers_match(R):
 # --- spectrum and fixed space -----------------------------------------------------------
 
 
+def large_order_dense(seed=5):
+    """Dense conjugates at m = 64 and 1024, where the clusters near 2 are (2*pi/m)^2 apart."""
+    rng = np.random.default_rng(seed)
+    q = random_orthogonal(5, rng)
+    # eigenvalues e^(+-2*pi*i/1024), -1 twice and 1: the clusters j = 1, m/2 and 0
+    mixed = np.diag([1.0, 1.0, -1.0, -1.0, 1.0])
+    mixed[:2, :2] = rotation_matrix(2 * np.pi / 1024)
+    return [
+        conjugated_dense(make_circular_shift(64), rng),
+        conjugated_dense(make_rotator(1024, 2), rng),
+        make_dense(q @ mixed @ q.T, 1024),
+    ]
+
+
+LARGE_ORDER_DENSE = large_order_dense()
+
+
 @pytest.mark.parametrize(
     "R",
-    INSTANCES + [make_rotator(2, 3), make_circular_shift(7, 2)],
+    INSTANCES + [make_rotator(2, 3), make_circular_shift(7, 2)] + LARGE_ORDER_DENSE,
     ids=lambda R: f"{R.kind}-m{R.order}-n{R.dim}",
 )
 def test_eigen_multiplicities_match_eigenvalues(R):
@@ -254,8 +327,34 @@ def test_closed_form_fixed_space_bases():
     )
 
 
+@pytest.mark.parametrize("R", LARGE_ORDER_DENSE, ids=lambda R: f"m{R.order}-n{R.dim}")
+def test_large_order_dense_basis_matches_nullspace_oracle(R):
+    B = R.fixed_space_basis()
+    assert B.shape == (R.eigen_multiplicities()[0], R.dim)
+    np.testing.assert_allclose(B.T @ B, oracle_projector_fix(materialize(R)), atol=1e-10)
+
+
 def test_dense_multiplicities_reject_a_wrong_order():
-    # an uncertified rotation by 2*pi/5 declared of order 3: the characters are not integers
+    # an uncertified rotation by 2*pi/5 declared of order 3: its eigenvalue 2cos(2*pi/5)
+    # of A + A^T lies at no centre 2cos(2*pi*j/3)
     R = FiniteOrderIsometry("dense", 3, 2, matrix=rotation_matrix(2 * np.pi / 5))
-    with pytest.raises(NumericError, match="not nonnegative integers summing to 2"):
+    with pytest.raises(NumericError, match="from its nearest centre, more than SPECTRUM_TOL"):
         R.eigen_multiplicities()
+
+
+def test_dense_multiplicities_reject_an_odd_cluster():
+    # A + A^T = diag(-1, 2): -1 is the centre 2cos(2*pi/3), but it comes without its pair
+    R = FiniteOrderIsometry("dense", 3, 2, matrix=np.diag([-0.5, 1.0]))
+    with pytest.raises(NumericError, match=r"2cos\(2\*pi\*1/3\) of A \+ A\^T has odd size"):
+        R.fixed_space_basis()
+
+
+def test_dense_spectrum_supports_orders_up_to_44428():
+    m = 44428
+    R = make_dense(rotation_matrix(2 * np.pi / m), m)
+    mult = R.eigen_multiplicities()
+    assert mult[1] == mult[m - 1] == 1 and mult.sum() == 2
+    assert R.fixed_space_basis().shape == (0, 2)
+    beyond = make_dense(rotation_matrix(2 * np.pi / (m + 1)), m + 1)
+    with pytest.raises(NumericError, match="order m = 44429 is too large"):
+        beyond.eigen_multiplicities()
