@@ -19,7 +19,6 @@ from .displacement_calculus import (
     PolynomialOperator,
     displacement,
     displacement_apply,
-    fixed_space_basis,
     projector_fix,
     projector_fix_complement,
     pseudo_inverse,
@@ -29,15 +28,11 @@ from .displacement_calculus import (
 from .resolvent_yosida import (
     asymptotic_limit,
     resolvent,
-    resolvent_apply,
     resolvent_coefficients,
     resolvent_inverse,
-    resolvent_inverse_apply,
     series_resolvent_apply,
     yosida,
-    yosida_apply,
     yosida_inverse,
-    yosida_inverse_apply,
 )
 from .dense_oracle import (
     ComparisonReport,
@@ -67,7 +62,6 @@ __all__ = [
     "displacement",
     "displacement_apply",
     "ergodic_mean",
-    "fixed_space_basis",
     "lipschitz_estimate",
     "make_circular_shift",
     "make_dense",
@@ -82,17 +76,13 @@ __all__ = [
     "pseudo_inverse",
     "reproduce_worked_examples",
     "resolvent",
-    "resolvent_apply",
     "resolvent_coefficients",
     "resolvent_inverse",
-    "resolvent_inverse_apply",
     "run_verification",
     "series_resolvent_apply",
     "set_valued_inverse",
     "skew_part",
     "standard_instances",
     "yosida",
-    "yosida_apply",
     "yosida_inverse",
-    "yosida_inverse_apply",
 ]

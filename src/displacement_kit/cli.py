@@ -46,7 +46,7 @@ def _parse_gamma(text: str) -> float:
     """Accept decimals and exact p/q rationals ("1/2", "0.5", "2")."""
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(
             f"invalid gamma {text!r}: expected a decimal or a p/q rational"
         ) from None

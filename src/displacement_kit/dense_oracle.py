@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ValidationError
+from .isometry_core import _check_int
 
 #: residual allowed when inverting Id + gamma*(Id - A) by direct solve
 RESOLVENT_RESIDUAL_TOL = 1e-10
@@ -175,8 +176,7 @@ def compare(
     func_b, n_b = _as_apply(op_b, dim)
     if n != n_b:
         raise ParameterError(f"operators disagree on dimension: {n} vs {n_b}")
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples!r}")
+    n_samples = _check_int(n_samples, "n_samples", 1)
     rng = np.random.default_rng(seed)
     samples = [rng.standard_normal(n) for _ in range(n_samples)]
     eye = np.eye(n)

@@ -55,10 +55,6 @@ class PolynomialOperator:
         c[0] = 1.0
         return cls(operator, c)
 
-    @classmethod
-    def zero(cls, operator: FiniteOrderIsometry) -> "PolynomialOperator":
-        return cls(operator, np.zeros(operator.order))
-
     def apply(self, x) -> np.ndarray:
         """Evaluate sum_k c_k R^k x with the kernel for the kind of R."""
         return self.operator.apply_polynomial(self.coefficients, x)
@@ -114,25 +110,30 @@ class AffineSubspace:
     """point + span(basis), the value of the set-valued inverse.
 
     ``point`` is the particular (minimum-norm least-squares) solution and
-    ``basis`` an orthonormal list spanning the direction space.  The point is
-    not required to be orthogonal to the basis.
+    ``basis`` a (d, n) array whose orthonormal rows span the direction space;
+    any array-like input, an empty list for d = 0 included, is converted to
+    it once.  The point is not required to be orthogonal to the basis.
     """
 
     point: np.ndarray
-    basis: list = field(default_factory=list)
+    basis: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "basis", [np.asarray(b, dtype=float) for b in self.basis])
         if self.point.ndim != 1:
             raise ParameterError("point must be a 1-d vector")
         n = self.point.shape[0]
-        for b in self.basis:
-            if b.shape != (n,):
-                raise ParameterError("basis vectors must match the point's dimension")
-        if self.basis:
-            B = np.stack(self.basis)
-            gram_dev = np.abs(B @ B.T - np.eye(len(self.basis)))
+        try:
+            B = np.asarray(self.basis, dtype=float)
+        except ValueError:  # ragged rows
+            raise ParameterError("basis vectors must match the point's dimension") from None
+        if B.shape == (0,):
+            B = B.reshape(0, n)
+        if B.ndim != 2 or B.shape[1] != n:
+            raise ParameterError("basis vectors must match the point's dimension")
+        object.__setattr__(self, "basis", B)
+        if B.shape[0]:
+            gram_dev = np.abs(B @ B.T - np.eye(B.shape[0]))
             i, j = np.unravel_index(int(np.argmax(gram_dev)), gram_dev.shape)
             if not gram_dev[i, j] <= _ORTHONORMALITY_TOL:  # NaN fails too
                 expected = 1.0 if i == j else 0.0
@@ -147,17 +148,15 @@ class AffineSubspace:
 
     @property
     def degrees_of_freedom(self) -> int:
-        return len(self.basis)
+        return self.basis.shape[0]
 
     def element(self, weights) -> np.ndarray:
         """Return point + sum_i weights[i] * basis[i]."""
         w = np.asarray(weights, dtype=float)
-        if w.shape != (len(self.basis),):
-            raise ParameterError(f"expected {len(self.basis)} weights, got shape {w.shape}")
-        out = self.point.copy()
-        for wi, b in zip(w, self.basis):
-            out += wi * b
-        return out
+        d = self.degrees_of_freedom
+        if w.shape != (d,):
+            raise ParameterError(f"expected {d} weights, got shape {w.shape}")
+        return self.point + w @ self.basis
 
 
 def displacement_apply(R: FiniteOrderIsometry, x) -> np.ndarray:
@@ -207,11 +206,6 @@ def pseudo_inverse(R: FiniteOrderIsometry) -> PolynomialOperator:
     return PolynomialOperator(R, c)
 
 
-def fixed_space_basis(R: FiniteOrderIsometry) -> list:
-    """Orthonormal basis of Fix R: the rows of :meth:`FiniteOrderIsometry.fixed_space_basis`."""
-    return list(R.fixed_space_basis())
-
-
 def set_valued_inverse(R: FiniteOrderIsometry, y, tol: float = RANGE_MEMBERSHIP_TOL):
     """Solve (Id - R) x = y in the set-valued sense.
 
@@ -226,4 +220,4 @@ def set_valued_inverse(R: FiniteOrderIsometry, y, tol: float = RANGE_MEMBERSHIP_
     fixed_component = projector_fix(R).apply(v)
     if float(np.linalg.norm(fixed_component)) > tol * float(np.linalg.norm(v)):
         return None
-    return AffineSubspace(point=pseudo_inverse(R).apply(v), basis=fixed_space_basis(R))
+    return AffineSubspace(point=pseudo_inverse(R).apply(v), basis=R.fixed_space_basis())

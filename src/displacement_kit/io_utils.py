@@ -108,5 +108,5 @@ def affine_subspace_to_dict(subspace) -> dict:
     """AffineSubspace wire schema: {"point": [...], "basis": [[...], ...]}."""
     return {
         "point": vector_entries(subspace.point),
-        "basis": [vector_entries(b) for b in subspace.basis],
+        "basis": matrix_rows(subspace.basis),
     }

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_oracle import _as_apply, materialize
 from .displacement_calculus import PolynomialOperator
+from .errors import ParameterError
 from .isometry_core import FiniteOrderIsometry, _check_int, _check_real, as_vector
 from .resolvent_yosida import resolvent
 
@@ -86,14 +86,12 @@ def ergodic_mean(R: FiniteOrderIsometry, x0, n: int) -> np.ndarray:
     return R.apply_polynomial(coefficients, x0)
 
 
-def lipschitz_estimate(operator, dim: int | None = None) -> float:
-    """Lipschitz constant ||F||_2 of a linear operator F.
+def lipschitz_estimate(operator: PolynomialOperator) -> float:
+    """Lipschitz constant ||F||_2 of a polynomial operator F.
 
-    A :class:`PolynomialOperator` returns its exact :meth:`operator_norm`
-    from the symbol, O(m log m) whatever n is.  Any other operator returns the
-    spectral norm (SVD) of its materialized n x n matrix.
+    It is the exact :meth:`PolynomialOperator.operator_norm` from the symbol,
+    O(m log m) whatever n is; ParameterError for any other operator.
     """
-    if isinstance(operator, PolynomialOperator):
-        _as_apply(operator, dim)  # rejects a dim that does not match
-        return operator.operator_norm()
-    return float(np.linalg.norm(materialize(operator, dim), 2))
+    if not isinstance(operator, PolynomialOperator):
+        raise ParameterError(f"expected a PolynomialOperator, got {type(operator).__name__}")
+    return operator.operator_norm()

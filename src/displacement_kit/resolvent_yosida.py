@@ -27,19 +27,26 @@ def resolvent_coefficients(m: int, gamma: float) -> np.ndarray:
     """
     m = _check_int(m, "order", 2)
     g = _check_real(gamma, "gamma")
-    # 1 - q = 1/(1+gamma) without cancellation; log(q) = -log1p(1/gamma) avoids
-    # q ~ 1 rounding
-    return _geometric_coefficients(m, g / (1.0 + g), 1.0 / (1.0 + g), -math.log1p(1.0 / g))
+    return _geometric_coefficients(m, *_forward_ratio(g))
 
 
-def _inverse_resolvent_coefficients(m: int, g: float) -> np.ndarray:
-    """Resolvent coefficients at 1/gamma, built without forming 1/gamma.
+def _forward_ratio(g: float) -> tuple:
+    """(q, 1 - q, log q) for q = gamma/(1+gamma).
+
+    1 - q = 1/(1+gamma) without cancellation; log(q) = -log1p(1/gamma) avoids
+    q ~ 1 rounding.
+    """
+    return g / (1.0 + g), 1.0 / (1.0 + g), -math.log1p(1.0 / g)
+
+
+def _inverse_ratio(g: float) -> tuple:
+    """(q', 1 - q', log q') for the resolvent at 1/gamma, without forming 1/gamma.
 
     At 1/gamma the ratio is q' = 1/(1+gamma), with 1 - q' = gamma/(1+gamma) and
     log(q') = -log1p(gamma), so every gamma that passes the forward check works,
     down to the smallest subnormal.
     """
-    return _geometric_coefficients(m, 1.0 / (1.0 + g), g / (1.0 + g), -math.log1p(g))
+    return 1.0 / (1.0 + g), g / (1.0 + g), -math.log1p(g)
 
 
 def _geometric_coefficients(m: int, q: float, one_minus_q: float, log_q: float) -> np.ndarray:
@@ -47,14 +54,26 @@ def _geometric_coefficients(m: int, q: float, one_minus_q: float, log_q: float) 
     return np.power(q, np.arange(m)) * (one_minus_q / -math.expm1(m * log_q))
 
 
+def _identity_minus_geometric(m: int, q: float, one_minus_q: float, log_q: float) -> np.ndarray:
+    """e_0 - c for the geometric coefficients c of :func:`_geometric_coefficients`.
+
+    c_0 = (1-q)/(1-q^m) tends to 1 as q -> 0, where 1 - c_0 would cancel, so
+    above c_0 = 1/2 it is evaluated as q (1 - q^{m-1}) / (1 - q^m), both
+    factors by expm1.  Below 1/2 the plain difference loses nothing.
+    """
+    c = _geometric_coefficients(m, q, one_minus_q, log_q)
+    if c[0] > 0.5:
+        head = q * math.expm1((m - 1) * log_q) / math.expm1(m * log_q)
+    else:
+        head = 1.0 - c[0]
+    c = -c
+    c[0] = head
+    return c
+
+
 def resolvent(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
     """The resolvent of gamma*(Id - R) as a polynomial operator."""
     return PolynomialOperator(R, resolvent_coefficients(R.order, gamma))
-
-
-def resolvent_apply(R: FiniteOrderIsometry, gamma: float, x) -> np.ndarray:
-    """Apply the resolvent of gamma*(Id - R) to x."""
-    return resolvent(R, gamma).apply(x)
 
 
 def resolvent_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
@@ -64,37 +83,13 @@ def resolvent_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperato
     as gamma -> 0 the operator tends to the projector onto (Fix R)^perp.
     """
     g = _check_real(gamma, "gamma")
-    c = -_inverse_resolvent_coefficients(R.order, g)
-    c[0] += 1.0
-    return PolynomialOperator(R, c)
-
-
-def resolvent_inverse_apply(R: FiniteOrderIsometry, gamma: float, x) -> np.ndarray:
-    """Apply the resolvent of gamma*(Id - R)^{-1}: x minus the resolvent at 1/gamma.
-
-    Computed as x - J x with J the resolvent at 1/gamma, its coefficients built
-    from q' = 1/(1+gamma) without forming 1/gamma, so the identity
-    resolvent_inverse_apply + resolvent_apply(.., 1/gamma, ..) = Id holds to
-    rounding.
-    """
-    g = _check_real(gamma, "gamma")
-    v = as_vector(x, R.dim)
-    return v - PolynomialOperator(R, _inverse_resolvent_coefficients(R.order, g)).apply(v)
+    return PolynomialOperator(R, _identity_minus_geometric(R.order, *_inverse_ratio(g)))
 
 
 def yosida(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
     """Yosida approximation of Id - R with index gamma: (Id - resolvent)/gamma."""
     g = _check_real(gamma, "gamma")
-    c = -resolvent_coefficients(R.order, g)
-    c[0] += 1.0
-    return PolynomialOperator(R, c / g)
-
-
-def yosida_apply(R: FiniteOrderIsometry, gamma: float, x) -> np.ndarray:
-    """Apply the Yosida approximation of Id - R: (x - resolvent x)/gamma."""
-    g = _check_real(gamma, "gamma")
-    v = as_vector(x, R.dim)
-    return (v - resolvent(R, g).apply(v)) / g
+    return PolynomialOperator(R, _identity_minus_geometric(R.order, *_forward_ratio(g)) / g)
 
 
 def yosida_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
@@ -109,15 +104,9 @@ def yosida_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
     return PolynomialOperator(R, _yosida_inverse_coefficients(R.order, g))
 
 
-def yosida_inverse_apply(R: FiniteOrderIsometry, gamma: float, x) -> np.ndarray:
-    """Apply the Yosida approximation of (Id - R)^{-1} to x (see :func:`yosida_inverse`)."""
-    g = _check_real(gamma, "gamma")
-    return PolynomialOperator(R, _yosida_inverse_coefficients(R.order, g)).apply(x)
-
-
 def _yosida_inverse_coefficients(m: int, g: float) -> np.ndarray:
     with np.errstate(over="ignore"):  # reported below as NumericError
-        c = _inverse_resolvent_coefficients(m, g) / g
+        c = _geometric_coefficients(m, *_inverse_ratio(g)) / g
         total = float(np.sum(c))
     # the sum is p(1), a value of the symbol: when it overflows, so does the
     # operator on Fix R, even if each of the m coefficients is finite

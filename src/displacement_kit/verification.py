@@ -33,15 +33,11 @@ from .iteration_lab import ergodic_mean, lipschitz_estimate, proximal_point
 from .resolvent_yosida import (
     asymptotic_limit,
     resolvent,
-    resolvent_apply,
     resolvent_coefficients,
     resolvent_inverse,
-    resolvent_inverse_apply,
     series_resolvent_apply,
     yosida,
-    yosida_apply,
     yosida_inverse,
-    yosida_inverse_apply,
 )
 from .worked_examples import reference_cases
 
@@ -277,11 +273,15 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
         proj = projector_fix(R)
         for gamma in GAMMA_GRID:
             res_poly = resolvent(R, gamma)
+            res_reciprocal = resolvent(R, 1.0 / gamma)
+            inv_poly = resolvent_inverse(R, gamma)
+            yosida_poly = yosida(R, gamma)
+            yosida_inv_poly = yosida_inverse(R, gamma)
             res_mat = materialize(res_poly)
             res_oracle.append(_max_abs(res_mat - oracle_resolvent(mat, gamma)))
             res_norm.append(max(0.0, float(np.linalg.norm(res_mat, 2)) - 1.0))
             yosida_sum.append(
-                abs(gamma * float(np.sum(yosida_inverse(R, gamma).coefficients)) - 1.0)
+                abs(gamma * float(np.sum(yosida_inv_poly.coefficients)) - 1.0)
             )
             for x in _unit_vectors(rng, R.dim, 2):
                 series_devs.append(
@@ -292,20 +292,17 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
                 res_equation.append(_max_abs(jx + gamma * displacement_apply(R, jx) - x))
                 d = x - rng.standard_normal(R.dim)
                 d /= float(np.linalg.norm(d))
-                for image in (res_poly.apply(d), resolvent_inverse_apply(R, gamma, d)):
+                for image in (res_poly.apply(d), inv_poly.apply(d)):
                     firm_devs.append(max(0.0, float(image @ image) - float(d @ image)))
-                z = resolvent_inverse_apply(R, gamma, x)
-                inv_identity.append(_max_abs(z + resolvent_apply(R, 1.0 / gamma, x) - x))
+                z = inv_poly.apply(x)
+                inv_identity.append(_max_abs(z + res_reciprocal.apply(x) - x))
                 inv_inclusion.append(_max_abs(displacement_apply(R, (x - z) / gamma) - z))
                 inv_inclusion.append(_max_abs(proj.apply(z)))
                 yosida_consistency.append(
-                    _max_abs(gamma * yosida_apply(R, gamma, x) + res_poly.apply(x) - x)
+                    _max_abs(gamma * yosida_poly.apply(x) + res_poly.apply(x) - x)
                 )
                 yosida_consistency.append(
-                    _max_abs(
-                        gamma * yosida_inverse_apply(R, gamma, x)
-                        - resolvent_apply(R, 1.0 / gamma, x)
-                    )
+                    _max_abs(gamma * yosida_inv_poly.apply(x) - res_reciprocal.apply(x))
                 )
     add("resolvent matches the linear-solve oracle", res_oracle, 1e-10)
     add("resolvent equation (Id + gamma M) J = Id", res_equation, 1e-10)
@@ -331,14 +328,16 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
     for R in instances:
         mat = materialize(R)
         proj = asymptotic_limit(R, "infinity")
+        near_zero = [(gamma, resolvent(R, gamma)) for gamma in (1e-3, 1e-5)]
+        near_infinity = [(gamma, resolvent(R, gamma)) for gamma in (1e3, 1e5)]
         oracle_limits.append(_max_abs(oracle_resolvent(mat, 1e-6) - np.eye(R.dim)))
         oracle_limits.append(_max_abs(oracle_resolvent(mat, 1e6) - oracle_projector_fix(mat)))
         for x in _unit_vectors(rng, R.dim, 4):
-            for gamma in (1e-3, 1e-5):
-                small_gamma.append(_max_abs(resolvent_apply(R, gamma, x) - x) / gamma)
-            for gamma in (1e3, 1e5):
+            for gamma, res in near_zero:
+                small_gamma.append(_max_abs(res.apply(x) - x) / gamma)
+            for gamma, res in near_infinity:
                 large_gamma.append(
-                    float(np.linalg.norm(resolvent_apply(R, gamma, x) - proj.apply(x)))
+                    float(np.linalg.norm(res.apply(x) - proj.apply(x)))
                     * gamma
                     / R.order
                 )

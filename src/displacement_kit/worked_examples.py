@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
+from .isometry_core import _check_real
 
 ROTATOR_ORDERS = (2, 3, 4)
 SHIFT_ORDERS = (2, 3)
@@ -23,9 +24,7 @@ _SQRT3 = math.sqrt(3.0)
 
 def rotator_closed_forms(m: int, gamma: float) -> dict:
     """The four operator matrices for the plane rotation by 2*pi/m, m in {2, 3, 4}."""
-    g = float(gamma)
-    if g <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma!r}")
+    g = _check_real(gamma, "gamma")
     eye = np.eye(2)
     if m == 2:
         return {
@@ -65,9 +64,7 @@ def rotator_closed_forms(m: int, gamma: float) -> dict:
 
 def shift_closed_forms(m: int, gamma: float) -> dict:
     """The four operator matrices for the circular right shift on R^m, m in {2, 3}."""
-    g = float(gamma)
-    if g <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma!r}")
+    g = _check_real(gamma, "gamma")
     if m == 2:
         d_fwd = 1.0 + 2.0 * g
         d_inv = 2.0 + g

@@ -21,7 +21,6 @@ from displacement_kit import (
     projector_fix_complement,
     pseudo_inverse,
     resolvent,
-    resolvent_apply,
     resolvent_inverse,
     run_verification,
     series_resolvent_apply,
@@ -195,11 +194,11 @@ def test_criterion_10_asymptotic_bounds():
             x = rng.standard_normal(R.dim)
             norm_x = float(np.linalg.norm(x))
             for gamma in (1e-3, 1e-4):
-                dev = float(np.linalg.norm(resolvent_apply(R, gamma, x) - x))
+                dev = float(np.linalg.norm(resolvent(R, gamma).apply(x) - x))
                 small_ratio = max(small_ratio, dev / (gamma * norm_x))
             px = proj.apply(x)
             for gamma in (1e3, 1e4):
-                dev = float(np.linalg.norm(resolvent_apply(R, gamma, x) - px))
+                dev = float(np.linalg.norm(resolvent(R, gamma).apply(x) - px))
                 large_ratio = max(large_ratio, dev * gamma / (R.order * norm_x))
     ok = small_ratio <= 5.0 and large_ratio <= 5.0
     _line(
@@ -223,7 +222,7 @@ def test_criterion_11_series_matches_closed_form():
                 dev = np.max(
                     np.abs(
                         series_resolvent_apply(R, gamma, x, 1e-12)
-                        - resolvent_apply(R, gamma, x)
+                        - resolvent(R, gamma).apply(x)
                     )
                 )
                 worst = max(worst, float(dev))

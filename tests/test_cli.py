@@ -186,6 +186,14 @@ def test_malformed_gamma_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
+def test_overflowing_gamma_exits_2(capsys):
+    # float(Fraction("1e400")) overflows; that is bad input, not a failed check
+    with pytest.raises(SystemExit) as excinfo:
+        main(["resolvent", "--kind", "rotator", "--m", "2", "--gamma", "1e400"])
+    assert excinfo.value.code == 2
+    assert "invalid gamma '1e400'" in capsys.readouterr().err
+
+
 def test_nonpositive_gamma_exits_2(capsys):
     code, out, err = run(capsys, "resolvent", "--kind", "rotator", "--m", "2", "--gamma", "-1")
     assert code == 2

@@ -234,6 +234,12 @@ def test_compare_rejects_zero_samples():
         compare(make_rotator(4), make_rotator(4), n_samples=0)
 
 
+@pytest.mark.parametrize("n_samples", [True, 2.5, "32"])
+def test_compare_rejects_non_integer_samples(n_samples):
+    with pytest.raises(ParameterError, match="n_samples must be an integer"):
+        compare(make_rotator(4), make_rotator(4), n_samples=n_samples)
+
+
 def test_report_round_trip_and_pass_semantics():
     report = ComparisonReport.from_deviations("demo", [1e-12, 3e-11], 1e-10, 9)
     data = report.to_dict()

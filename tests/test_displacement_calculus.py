@@ -10,8 +10,8 @@ from displacement_kit import (
     ValidationError,
     displacement,
     displacement_apply,
-    fixed_space_basis,
     make_circular_shift,
+    make_dense,
     make_rotator,
     materialize,
     oracle_projector_fix,
@@ -384,12 +384,12 @@ def test_strong_monotonicity_with_sharp_constant(R):
 
 
 def test_fixed_space_basis_empty_for_rotator():
-    assert fixed_space_basis(make_rotator(3)) == []
+    assert make_rotator(3).fixed_space_basis().shape == (0, 2)
 
 
 def test_fixed_space_basis_diagonal():
-    basis = fixed_space_basis(make_circular_shift(2))
-    assert len(basis) == 1
+    basis = make_circular_shift(2).fixed_space_basis()
+    assert basis.shape == (1, 2)
     expected = np.full(2, 1 / np.sqrt(2))
     sign = np.sign(basis[0][0])
     np.testing.assert_allclose(sign * basis[0], expected, atol=1e-12)
@@ -397,8 +397,8 @@ def test_fixed_space_basis_diagonal():
 
 def test_fixed_space_basis_block_diagonal():
     R = make_circular_shift(2, block_dim=2)
-    basis = fixed_space_basis(R)
-    assert len(basis) == 2
+    basis = R.fixed_space_basis()
+    assert basis.shape == (2, 4)
     for b in basis:
         np.testing.assert_allclose(R.apply(b), b, atol=1e-12)
     assert abs(basis[0] @ basis[1]) <= 1e-12
@@ -406,7 +406,7 @@ def test_fixed_space_basis_block_diagonal():
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
 def test_fixed_space_basis_matches_nullspace_oracle(R):
-    B = np.array(fixed_space_basis(R)).reshape(-1, R.dim)
+    B = R.fixed_space_basis()
     assert B.shape[0] == R.eigen_multiplicities()[0]
     np.testing.assert_allclose(B.T @ B, oracle_projector_fix(materialize(R)), atol=1e-10)
     np.testing.assert_allclose(B @ B.T, np.eye(B.shape[0]), atol=1e-12)
@@ -440,7 +440,7 @@ def test_set_valued_inverse_rejects_tiny_fixed_vector():
 def test_set_valued_inverse_invertible_case():
     solution = set_valued_inverse(make_rotator(2), [2.0, 0.0])
     np.testing.assert_allclose(solution.point, [1.0, 0.0], atol=1e-12)
-    assert solution.basis == []
+    assert solution.basis.shape == (0, 2)
 
 
 def test_set_valued_inverse_zero_right_hand_side():
@@ -492,6 +492,23 @@ def test_affine_subspace_names_the_worst_pair():
         AffineSubspace(point=np.zeros(3), basis=basis)
     with pytest.raises(ValidationError):
         AffineSubspace(point=np.zeros(2), basis=[np.array([np.nan, 0.0])])
+
+
+def test_affine_subspace_basis_is_one_array():
+    s = AffineSubspace(point=[1.0, 2.0, 3.0], basis=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert s.basis.shape == (2, 3)
+    np.testing.assert_array_equal(s.element([2.0, -1.0]), [3.0, 2.0, 2.0])
+    assert AffineSubspace(point=np.zeros(3)).basis.shape == (0, 3)
+    np.testing.assert_array_equal(AffineSubspace(point=[1.0, 2.0]).element([]), [1.0, 2.0])
+    for bad in ([[1.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 0.0, 0.0], np.zeros((1, 2))):
+        with pytest.raises(ParameterError, match="match the point's dimension"):
+            AffineSubspace(point=np.zeros(3), basis=bad)
+
+
+def test_set_valued_inverse_basis_is_the_fixed_space_basis():
+    # the cached read-only (d, n) array of a dense R, not a copy of its rows
+    R = make_dense(materialize(make_circular_shift(3, block_dim=2)), 3)
+    assert set_valued_inverse(R, np.zeros(6)).basis is R.fixed_space_basis()
 
 
 def test_affine_subspace_element_weights_shape():

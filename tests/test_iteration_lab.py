@@ -7,10 +7,12 @@ import pytest
 
 from displacement_kit import (
     ParameterError,
+    PolynomialOperator,
     ergodic_mean,
     lipschitz_estimate,
     make_circular_shift,
     make_rotator,
+    materialize,
     projector_fix,
     proximal_point,
     resolvent,
@@ -160,7 +162,7 @@ def test_ergodic_mean_rejects_bad_n():
 
 
 def test_lipschitz_identity():
-    assert abs(lipschitz_estimate(lambda x: x, dim=4) - 1.0) <= 1e-10
+    assert abs(lipschitz_estimate(PolynomialOperator.identity(make_rotator(4, 2))) - 1.0) <= 1e-10
 
 
 def test_lipschitz_inverse_resolvent_sharp_for_half_turn():
@@ -174,18 +176,18 @@ def test_lipschitz_resolvent_not_contractive_for_shift():
     assert L >= 1.0 - 1e-12
 
 
-def test_lipschitz_rejects_dimension_mismatch():
-    with pytest.raises(ParameterError, match="dimension mismatch"):
-        lipschitz_estimate(resolvent(make_rotator(3), 1.0), dim=3)
+def test_lipschitz_rejects_non_polynomial_operator():
+    for operator in (lambda x: x, np.eye(2), make_rotator(4)):
+        with pytest.raises(ParameterError, match="expected a PolynomialOperator"):
+            lipschitz_estimate(operator)
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
 def test_lipschitz_of_polynomial_is_its_symbol_norm(R):
     op = resolvent_inverse(R, 0.7)
     assert lipschitz_estimate(op) == op.operator_norm()
-    # the generic path (a bare callable) reaches the same constant through the SVD
-    generic = lipschitz_estimate(op.apply, dim=R.dim)
-    assert abs(generic - op.operator_norm()) <= 1e-12
+    # the spectral norm of the materialized matrix reaches the same constant
+    assert abs(float(np.linalg.norm(materialize(op), 2)) - op.operator_norm()) <= 1e-12
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)

@@ -2,6 +2,7 @@
 
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,15 +19,11 @@ from displacement_kit import (
     projector_fix,
     projector_fix_complement,
     resolvent,
-    resolvent_apply,
     resolvent_coefficients,
     resolvent_inverse,
-    resolvent_inverse_apply,
     series_resolvent_apply,
     yosida,
-    yosida_apply,
     yosida_inverse,
-    yosida_inverse_apply,
 )
 from displacement_kit.resolvent_yosida import SERIES_MAX_TERMS
 from displacement_kit.verification import standard_instances
@@ -82,17 +79,17 @@ def test_coefficients_reject_bad_gamma(bad):
 
 
 def test_resolvent_half_turn_scales():
-    out = resolvent_apply(make_rotator(2), 1.0, [3.0, 0.0])
+    out = resolvent(make_rotator(2), 1.0).apply([3.0, 0.0])
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-14)
 
 
 def test_resolvent_shift_two():
-    out = resolvent_apply(make_circular_shift(2), 1.0, [1.0, 0.0])
+    out = resolvent(make_circular_shift(2), 1.0).apply([1.0, 0.0])
     np.testing.assert_allclose(out, [2 / 3, 1 / 3], atol=1e-14)
 
 
 def test_resolvent_rotator_three():
-    out = resolvent_apply(make_rotator(3), 1.0, [1.0, 0.0])
+    out = resolvent(make_rotator(3), 1.0).apply([1.0, 0.0])
     np.testing.assert_allclose(out, [5 / 14, np.sqrt(3) / 14], atol=1e-14)
 
 
@@ -102,7 +99,7 @@ def test_resolvent_equation(R):
     for gamma in GAMMAS:
         for _ in range(4):
             x = rng.standard_normal(R.dim)
-            jx = resolvent_apply(R, gamma, x)
+            jx = resolvent(R, gamma).apply(x)
             np.testing.assert_allclose(
                 jx + gamma * displacement_apply(R, jx), x, atol=1e-10 * max(1.0, np.linalg.norm(x))
             )
@@ -115,8 +112,8 @@ def test_firm_nonexpansiveness(R):
         for _ in range(25):
             d = rng.standard_normal(R.dim)
             for image in (
-                resolvent_apply(R, gamma, d),
-                resolvent_inverse_apply(R, gamma, d),
+                resolvent(R, gamma).apply(d),
+                resolvent_inverse(R, gamma).apply(d),
             ):
                 assert float(image @ image) <= float(d @ image) + 1e-10
 
@@ -125,7 +122,7 @@ def test_firm_nonexpansiveness(R):
 
 
 def test_inverse_resolvent_half_turn():
-    out = resolvent_inverse_apply(make_rotator(2), 2.0, [1.0, 0.0])
+    out = resolvent_inverse(make_rotator(2), 2.0).apply([1.0, 0.0])
     np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-14)
 
 
@@ -137,14 +134,14 @@ def test_inverse_resolvent_shift_two_matrix():
 def test_inverse_resolvent_kills_fixed_vectors():
     R = make_circular_shift(3)
     np.testing.assert_allclose(
-        resolvent_inverse_apply(R, 1.7, [2.0, 2.0, 2.0]), 0.0, atol=1e-12
+        resolvent_inverse(R, 1.7).apply([2.0, 2.0, 2.0]), 0.0, atol=1e-12
     )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_resolvent_apply_rejects_non_finite_vector(bad):
     with pytest.raises(ParameterError):
-        resolvent_apply(make_circular_shift(3), 1.0, [bad, 0.0, 0.0])
+        resolvent(make_circular_shift(3), 1.0).apply([bad, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("gamma", [5e-324, 1e-310, 1e-300])
@@ -158,7 +155,7 @@ def test_inverse_resolvent_tiny_gamma_is_complement_projector(m, gamma):
     assert dev <= m * gamma
     x = np.random.default_rng(m).standard_normal(m)
     np.testing.assert_allclose(
-        resolvent_inverse_apply(R, gamma, x), comp.apply(x), rtol=0, atol=m * gamma + 1e-14
+        resolvent_inverse(R, gamma).apply(x), comp.apply(x), rtol=0, atol=m * gamma + 1e-14
     )
 
 
@@ -169,10 +166,10 @@ def test_inverse_resolvent_identities(R):
     for gamma in (0.5, 1.0, 3.0):
         for _ in range(4):
             x = rng.standard_normal(R.dim)
-            z = resolvent_inverse_apply(R, gamma, x)
-            # complement identity, exact by construction
+            z = resolvent_inverse(R, gamma).apply(x)
+            # complement identity, to rounding
             np.testing.assert_allclose(
-                z + resolvent_apply(R, 1.0 / gamma, x), x, atol=1e-14 * max(1.0, np.linalg.norm(x))
+                z + resolvent(R, 1.0 / gamma).apply(x), x, atol=1e-14 * max(1.0, np.linalg.norm(x))
             )
             # z solves x in z + gamma * inverse-displacement of z
             np.testing.assert_allclose(
@@ -192,7 +189,7 @@ def test_yosida_half_turn_matrix():
 def test_yosida_kills_fixed_vectors():
     R = make_circular_shift(2, block_dim=2)
     np.testing.assert_allclose(
-        yosida_apply(R, 0.7, [1.0, -2.0, 1.0, -2.0]), 0.0, atol=1e-12
+        yosida(R, 0.7).apply([1.0, -2.0, 1.0, -2.0]), 0.0, atol=1e-12
     )
 
 
@@ -224,15 +221,39 @@ def test_yosida_resolvent_consistency(R):
         for _ in range(4):
             x = rng.standard_normal(R.dim)
             np.testing.assert_allclose(
-                gamma * yosida_apply(R, gamma, x) + resolvent_apply(R, gamma, x),
+                gamma * yosida(R, gamma).apply(x) + resolvent(R, gamma).apply(x),
                 x,
                 atol=1e-12 * max(1.0, np.linalg.norm(x)),
             )
             np.testing.assert_allclose(
-                gamma * yosida_inverse_apply(R, gamma, x),
-                resolvent_apply(R, 1.0 / gamma, x),
+                gamma * yosida_inverse(R, gamma).apply(x),
+                resolvent(R, 1.0 / gamma).apply(x),
                 atol=1e-12 * max(1.0, np.linalg.norm(x)),
             )
+
+
+def _exact_complement(m, q, scale):
+    """(e_0 - c) / scale for the geometric coefficients c at the exact ratio q."""
+    c = [q**k * (1 - q) / (1 - q**m) for k in range(m)]
+    return [((1 if k == 0 else 0) - ck) / scale for k, ck in enumerate(c)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_complement_coefficients_match_exact_fractions(m):
+    # yosida and resolvent_inverse are both e_0 minus geometric coefficients; where
+    # c_0 nears 1 (yosida at tiny gamma, resolvent_inverse at huge gamma) the plain
+    # 1 - c_0 lost up to 5 digits
+    R = make_circular_shift(m)
+    for gamma in np.logspace(-12, 12, 25):
+        g = Fraction(float(gamma))
+        for op, exact in (
+            (yosida(R, float(gamma)), _exact_complement(m, g / (1 + g), g)),
+            (resolvent_inverse(R, float(gamma)), _exact_complement(m, 1 / (1 + g), 1)),
+        ):
+            worst = max(
+                abs(float((Fraction(float(a)) - b) / b)) for a, b in zip(op.coefficients, exact)
+            )
+            assert worst <= 1e-13, (float(gamma), worst)
 
 
 # --- truncated series ------------------------------------------------------------------
@@ -258,7 +279,7 @@ def test_series_matches_closed_form_rotator():
         x = rng.standard_normal(2)
         np.testing.assert_allclose(
             series_resolvent_apply(R, 1.0, x, 1e-12),
-            resolvent_apply(R, 1.0, x),
+            resolvent(R, 1.0).apply(x),
             atol=1e-11,
         )
 
@@ -271,7 +292,7 @@ def test_series_matches_closed_form_everywhere(R):
         x /= np.linalg.norm(x)
         np.testing.assert_allclose(
             series_resolvent_apply(R, gamma, x, 1e-12),
-            resolvent_apply(R, gamma, x),
+            resolvent(R, gamma).apply(x),
             atol=1e-11,
         )
 
@@ -281,7 +302,7 @@ def test_series_accepts_certified_dense_matrix():
     x = np.array([1.0, 2.0, 3.0])
     np.testing.assert_allclose(
         series_resolvent_apply(A, 1.0, x, 1e-12),
-        resolvent_apply(make_circular_shift(3), 1.0, x),
+        resolvent(make_circular_shift(3), 1.0).apply(x),
         atol=1e-11,
     )
 
@@ -310,7 +331,7 @@ def test_folded_series_is_bounded_at_extreme_gamma(gamma):
     R = make_circular_shift(3)
     x = np.array([1.0, -2.0, 0.5])
     np.testing.assert_allclose(
-        series_resolvent_apply(R, gamma, x, 1e-12), resolvent_apply(R, gamma, x), atol=1e-11
+        series_resolvent_apply(R, gamma, x, 1e-12), resolvent(R, gamma).apply(x), atol=1e-11
     )
 
 
@@ -323,13 +344,11 @@ def test_yosida_inverse_tiny_gamma(m):
     assert abs(gamma * float(np.sum(yosida_inverse(R, gamma).coefficients)) - 1.0) <= 1e-12
     # gamma times the Yosida inverse is the resolvent at 1/gamma, i.e. the projector here
     np.testing.assert_allclose(
-        gamma * yosida_inverse_apply(R, gamma, x), projector_fix(R).apply(x), atol=1e-12
+        gamma * yosida_inverse(R, gamma).apply(x), projector_fix(R).apply(x), atol=1e-12
     )
     for gamma in (1e-310, 5e-324):
         with pytest.raises(NumericError, match=re.escape(f"overflow at gamma = {gamma!r}")):
             yosida_inverse(R, gamma)
-        with pytest.raises(NumericError, match=re.escape(f"overflow at gamma = {gamma!r}")):
-            yosida_inverse_apply(R, gamma, x)
 
 
 def test_series_rejects_expansive_matrix():
@@ -379,11 +398,11 @@ def test_resolvent_monotone_approach_to_limits(R):
     rng = np.random.default_rng(19)
     x = rng.standard_normal(R.dim)
     identity_devs = [
-        np.linalg.norm(resolvent_apply(R, 10.0**-k, x) - x) for k in range(1, 9)
+        np.linalg.norm(resolvent(R, 10.0**-k).apply(x) - x) for k in range(1, 9)
     ]
     assert all(b <= a + 1e-15 for a, b in zip(identity_devs, identity_devs[1:]))
     proj_x = asymptotic_limit(R, "infinity").apply(x)
     proj_devs = [
-        np.linalg.norm(resolvent_apply(R, 10.0**k, x) - proj_x) for k in range(1, 9)
+        np.linalg.norm(resolvent(R, 10.0**k).apply(x) - proj_x) for k in range(1, 9)
     ]
     assert all(b <= a + 1e-15 for a, b in zip(proj_devs, proj_devs[1:]))

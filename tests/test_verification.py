@@ -92,3 +92,11 @@ def test_reference_rejects_untabulated_orders():
         shift_closed_forms(4, 1.0)
     with pytest.raises(ParameterError):
         rotator_closed_forms(2, -1.0)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0, True])
+def test_reference_rejects_non_finite_or_non_positive_gamma(gamma):
+    # NaN and inf used to pass a `gamma <= 0` test and give all-NaN matrices
+    for table in (rotator_closed_forms, shift_closed_forms):
+        with pytest.raises(ParameterError, match="gamma must be a positive finite real"):
+            table(2, gamma)
