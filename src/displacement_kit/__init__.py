@@ -26,7 +26,6 @@ from .displacement_calculus import (
     skew_part,
 )
 from .resolvent_yosida import (
-    asymptotic_limit,
     resolvent,
     resolvent_coefficients,
     resolvent_inverse,
@@ -57,7 +56,6 @@ __all__ = [
     "PolynomialOperator",
     "Trajectory",
     "ValidationError",
-    "asymptotic_limit",
     "compare",
     "displacement",
     "displacement_apply",

@@ -3,6 +3,8 @@
 Everything here works on explicit matrices with generic factorizations
 (LU solve, SVD) and never reuses the polynomial-coefficient arithmetic of the
 closed-form path; agreement between the two is the library's core evidence.
+The only code it shares with that path is input validation (the
+``_check_*`` helpers of isometry_core), which does no arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ValidationError
-from .isometry_core import _check_int
+from .isometry_core import _check_array, _check_int, _check_real
 
 #: residual allowed when inverting Id + gamma*(Id - A) by direct solve
 RESOLVENT_RESIDUAL_TOL = 1e-10
@@ -40,7 +42,7 @@ class ComparisonReport:
         devs = [float(d) for d in deviations]
         if not devs:
             raise ParameterError("a comparison needs at least one sample")
-        worst = max(devs)
+        worst = float(np.max(devs))  # NaN anywhere makes it NaN, and the report fails
         return cls(
             label=label,
             max_abs_deviation=worst,
@@ -65,11 +67,12 @@ class ComparisonReport:
 
 def _as_apply(op, dim=None):
     """Normalize an operator-shaped object to (apply_function, dimension)."""
+    if dim is not None:
+        dim = _check_int(dim, "dim", 1)
     if isinstance(op, np.ndarray):
-        if op.ndim != 2:
-            raise ParameterError(f"operator matrix must be 2-d, got shape {op.shape}")
-        inferred = op.shape[1]
-        func = lambda x: op @ x
+        matrix = _check_array(op, "operator matrix", (None, None))
+        inferred = matrix.shape[1]
+        func = lambda x: matrix @ x
     elif hasattr(op, "apply") and hasattr(op, "dim"):
         func, inferred = op.apply, op.dim
     elif callable(op):
@@ -78,7 +81,7 @@ def _as_apply(op, dim=None):
         func, inferred = op, dim
     else:
         raise ParameterError(f"cannot interpret {type(op).__name__} as a linear operator")
-    if dim is not None and int(dim) != int(inferred):
+    if dim is not None and dim != int(inferred):
         raise ParameterError(f"dimension mismatch: requested {dim}, operator has {inferred}")
     return func, int(inferred)
 
@@ -90,13 +93,6 @@ def materialize(op, dim: int | None = None) -> np.ndarray:
     return np.column_stack([np.asarray(func(eye[j]), dtype=float) for j in range(n)])
 
 
-def _square(A) -> np.ndarray:
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {M.shape}")
-    return M
-
-
 def oracle_resolvent(A, gamma: float) -> np.ndarray:
     """(Id + gamma*(Id - A))^{-1} by partial-pivoted linear solve.
 
@@ -106,9 +102,8 @@ def oracle_resolvent(A, gamma: float) -> np.ndarray:
     inverse carries a residual of order eps * ||system||, so a flat bound
     would misfire for gamma beyond ~1e5.
     """
-    M = _square(A)
-    if not 0 < gamma < np.inf:  # NaN fails too
-        raise ParameterError(f"gamma must be a positive finite real, got {gamma!r}")
+    M = _check_array(A, "matrix", ("n", "n"))
+    gamma = _check_real(gamma, "gamma")
     n = M.shape[0]
     eye = np.eye(n)
     system = (1.0 + gamma) * eye - gamma * M
@@ -127,11 +122,7 @@ def oracle_resolvent(A, gamma: float) -> np.ndarray:
 
 def oracle_pinv(A) -> np.ndarray:
     """Moore-Penrose inverse by SVD, zeroing singular values below DEFAULT_RANK_TOL * sigma_max."""
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2:
-        raise ParameterError(f"expected a matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ParameterError("matrix entries must all be finite")
+    M = _check_array(A, "matrix", (None, None))
     return np.linalg.pinv(M, rcond=DEFAULT_RANK_TOL)
 
 
@@ -142,7 +133,7 @@ def oracle_projector_fix(A) -> np.ndarray:
     of Id - A below DEFAULT_RANK_TOL * max(1, sigma_max) count as zero; for an
     isometry of order m the nonzero ones sit above 2*sin(pi/m), far above it.
     """
-    M = _square(A)
+    M = _check_array(A, "matrix", ("n", "n"))
     norm = float(np.linalg.norm(M, 2))
     if norm > 1.0 + NONEXPANSIVE_TOL:
         raise ValidationError(

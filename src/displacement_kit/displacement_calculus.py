@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .isometry_core import FiniteOrderIsometry, _as_coefficients, _check_real, as_vector
+from .isometry_core import FiniteOrderIsometry, _check_array, _check_real, as_vector
 
 #: default relative threshold for the range-membership test of the set-valued inverse
 RANGE_MEMBERSHIP_TOL = 1e-9
@@ -36,7 +36,7 @@ class PolynomialOperator:
 
     def __init__(self, operator: FiniteOrderIsometry, coefficients):
         self.operator = operator
-        self.coefficients = _as_coefficients(coefficients, operator.order).copy()
+        self.coefficients = _check_array(coefficients, "coefficients", (operator.order,)).copy()
 
     @property
     def order(self) -> int:
@@ -105,7 +105,7 @@ class PolynomialOperator:
         return PolynomialOperator(self.operator, -self.coefficients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineSubspace:
     """point + span(basis), the value of the set-valued inverse.
 
@@ -113,15 +113,14 @@ class AffineSubspace:
     ``basis`` a (d, n) array whose orthonormal rows span the direction space;
     any array-like input, an empty list for d = 0 included, is converted to
     it once.  The point is not required to be orthogonal to the basis.
+    Equality is identity, and the hash is the default one.
     """
 
     point: np.ndarray
     basis: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        if self.point.ndim != 1:
-            raise ParameterError("point must be a 1-d vector")
+        object.__setattr__(self, "point", _check_array(self.point, "point", (None,)))
         n = self.point.shape[0]
         try:
             B = np.asarray(self.basis, dtype=float)
@@ -152,10 +151,7 @@ class AffineSubspace:
 
     def element(self, weights) -> np.ndarray:
         """Return point + sum_i weights[i] * basis[i]."""
-        w = np.asarray(weights, dtype=float)
-        d = self.degrees_of_freedom
-        if w.shape != (d,):
-            raise ParameterError(f"expected {d} weights, got shape {w.shape}")
+        w = _check_array(weights, "weights", (self.degrees_of_freedom,))
         return self.point + w @ self.basis
 
 

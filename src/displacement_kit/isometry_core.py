@@ -60,16 +60,6 @@ def as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
-def _as_coefficients(coefficients, order: int) -> np.ndarray:
-    """Coerce to ``order`` finite float coefficients of the powers R^0, ..., R^(m-1)."""
-    c = np.asarray(coefficients, dtype=float)
-    if c.shape != (order,):
-        raise ParameterError(f"expected {order} coefficients, got shape {c.shape}")
-    if not np.isfinite(c).all():
-        raise ParameterError("coefficients must all be finite")
-    return c
-
-
 def _check_int(value, name: str, minimum: int) -> int:
     """``value`` as an int >= ``minimum``; ParameterError otherwise (bool included)."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
@@ -84,6 +74,37 @@ def _check_real(value, name: str, *, allow_zero: bool = False) -> float:
         sign = "nonnegative" if allow_zero else "positive"
         raise ParameterError(f"{name} must be a {sign} finite real, got {value!r}")
     return float(value)
+
+
+def _check_array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``; ParameterError naming ``name`` otherwise.
+
+    Each entry of ``shape`` is a fixed length, None for a free axis, or "n" for
+    axes that share one length n >= 1: a square matrix is ("n", "n").  Integer
+    and bool entries convert to float; strings, objects and complex numbers
+    are refused rather than cast.
+    """
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # ragged rows
+        raise ParameterError(f"{name} must be an array of real numbers") from None
+    if a.dtype != np.float64:
+        if a.dtype.kind not in "biuf":
+            raise ParameterError(f"{name} must be an array of real numbers, got dtype {a.dtype}")
+        a = a.astype(float)
+    if a.shape != shape:  # equal tuples need no walk: the coefficients' hot path
+        square = {got for want, got in zip(shape, a.shape) if want == "n"}
+        if (
+            a.ndim != len(shape)
+            or len(square) > 1
+            or 0 in square
+            or any(want not in (None, "n", got) for want, got in zip(shape, a.shape))
+        ):
+            text = ", ".join("*" if want is None else str(want) for want in shape)
+            raise ParameterError(f"{name} must be an array of shape ({text}), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{name} must be finite, got NaN or inf entries")
+    return a
 
 
 class FiniteOrderIsometry:
@@ -164,7 +185,7 @@ class FiniteOrderIsometry:
         product up to SHIFT_CIRCULANT_MAX_ORDER and through rfft/irfft above.
         Dense: Horner, m-1 matvecs with the stored matrix.
         """
-        c = _as_coefficients(coefficients, self.order)
+        c = _check_array(coefficients, "coefficients", (self.order,))
         v = as_vector(x, self.dim)
         if self.kind == ROTATOR:
             w = complex(self._cos, self._sin)
@@ -287,11 +308,7 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
     Accepts iff max|A^T A - I| <= tol and max|A^m - I| <= tol; the raised
     ValidationError names whichever bound failed.
     """
-    A = np.asarray(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ParameterError(f"matrix must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ParameterError("matrix entries must all be finite")
+    A = _check_array(matrix, "matrix", ("n", "n"))
     m = _check_int(m, "order", 2)
     tol = _check_real(tol, "tol")
     n = A.shape[0]

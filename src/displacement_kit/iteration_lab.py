@@ -13,9 +13,9 @@ from .isometry_core import FiniteOrderIsometry, _check_int, _check_real, as_vect
 from .resolvent_yosida import resolvent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Iterate history of a fixed-point iteration."""
+    """Iterate history of a fixed-point iteration; equality is identity."""
 
     points: list
     residuals: list

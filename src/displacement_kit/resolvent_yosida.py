@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ValidationError
+from .errors import NumericError, ValidationError
 from .dense_oracle import NONEXPANSIVE_TOL
-from .displacement_calculus import PolynomialOperator, projector_fix
-from .isometry_core import FiniteOrderIsometry, _check_int, _check_real, as_vector
+from .displacement_calculus import PolynomialOperator
+from .isometry_core import FiniteOrderIsometry, _check_array, _check_int, _check_real, as_vector
 
 
 def resolvent_coefficients(m: int, gamma: float) -> np.ndarray:
@@ -127,10 +127,10 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
 
     Sums sum_{k<=K} q^k (1-q) S^k x with q = gamma/(1+gamma) and
     K = ceil(log eps / log q), so the geometric tail bounds the truncation
-    error by eps * ||x||.  S may be a FiniteOrderIsometry or a square matrix;
-    matrices are summed term by term, K matvecs, after two checks: NumericError
-    when K is not finite or exceeds SERIES_MAX_TERMS, ValidationError when the
-    spectral norm exceeds 1 + NONEXPANSIVE_TOL.  For a FiniteOrderIsometry the
+    error by eps * ||x||.  S may be a FiniteOrderIsometry or a finite square
+    matrix; matrices are summed term by term, K matvecs, after two checks:
+    NumericError when K is not finite or exceeds SERIES_MAX_TERMS,
+    ValidationError when the spectral norm exceeds 1 + NONEXPANSIVE_TOL.  For a FiniteOrderIsometry the
     terms are folded by R^k = R^{k mod m} into m coefficients and applied once,
     O(m) work and memory for every gamma.
     """
@@ -143,9 +143,7 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
         if math.isfinite(ratio):  # otherwise q^K < eps lies below every float: the whole series
             coefficients *= _series_tail(S.order, log_q, max(0, math.ceil(ratio)))
         return S.apply_polynomial(coefficients, x)
-    A = np.asarray(S, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ParameterError(f"series operator must be square, got shape {A.shape}")
+    A = _check_array(S, "series operator", ("n", "n"))
     if not ratio <= SERIES_MAX_TERMS:  # inf fails too
         raise NumericError(
             f"series at gamma = {g!r}, eps = {eps!r} needs K ~ {ratio:.3g} terms, "
@@ -180,16 +178,3 @@ def _series_tail(m: int, log_q: float, terms: int) -> np.ndarray:
     tail = np.full(m, -math.expm1((terms - last) * log_q) if laps else 0.0)
     tail[: last + 1] = -math.expm1((terms - last + m) * log_q)
     return tail
-
-
-def asymptotic_limit(R: FiniteOrderIsometry, which: str) -> PolynomialOperator:
-    """Pointwise limit of the resolvent of gamma*(Id - R).
-
-    ``which="zero"`` gives the identity (gamma -> 0+); ``which="infinity"``
-    gives the projector onto Fix R (gamma -> +inf).
-    """
-    if which == "zero":
-        return PolynomialOperator.identity(R)
-    if which == "infinity":
-        return projector_fix(R)
-    raise ParameterError(f'which must be "zero" or "infinity", got {which!r}')

@@ -31,7 +31,6 @@ from .displacement_calculus import (
 from .isometry_core import FiniteOrderIsometry, make_circular_shift, make_dense, make_rotator
 from .iteration_lab import ergodic_mean, lipschitz_estimate, proximal_point
 from .resolvent_yosida import (
-    asymptotic_limit,
     resolvent,
     resolvent_coefficients,
     resolvent_inverse,
@@ -327,7 +326,7 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
     small_gamma, large_gamma, oracle_limits = [], [], []
     for R in instances:
         mat = materialize(R)
-        proj = asymptotic_limit(R, "infinity")
+        proj = projector_fix(R)
         near_zero = [(gamma, resolvent(R, gamma)) for gamma in (1e-3, 1e-5)]
         near_infinity = [(gamma, resolvent(R, gamma)) for gamma in (1e3, 1e5)]
         oracle_limits.append(_max_abs(oracle_resolvent(mat, 1e-6) - np.eye(R.dim)))

@@ -1,12 +1,13 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from displacement_kit import make_circular_shift, materialize
-from displacement_kit.cli import main
+from displacement_kit.cli import build_parser, main
 from displacement_kit.io_utils import save_matrix, save_vector
 
 
@@ -207,31 +208,72 @@ def test_invalid_order_exits_2(capsys):
 
 
 @pytest.mark.parametrize("gamma", ["1e13", "1e-13"])
-def test_iterate_out_of_range_gamma_exits_2(capsys, tmp_path, gamma):
+def test_iterate_extreme_gamma_exits_0(capsys, tmp_path, gamma):
     x0 = tmp_path / "x0.json"
     save_vector(x0, [1.0, 2.0, 3.0])
-    code, out, err = run(
-        capsys, "iterate", "--kind", "shift", "--m", "3", "--gamma", gamma, "--x0", str(x0)
+    code, data, err = run_json(
+        capsys, "iterate", "--kind", "shift", "--m", "3", "--gamma", gamma, "--x0", str(x0),
+        "--max-iter", "100",
     )
-    assert code == 2 and out == ""
-    assert f"--gamma {float(gamma):g} is outside the supported range [1e-12, 1e+12]" in err
+    assert code == 0 and err == ""
+    assert data["iterations_used"] >= 1
 
 
-def test_out_of_range_gamma_substitutes_limit(capsys):
-    code, out, err = run(
+def test_huge_gamma_resolvent_evaluates_the_formula(capsys):
+    code, data, err = run_json(
         capsys, "resolvent", "--kind", "shift", "--m", "3", "--gamma", "1e15", "--materialize"
     )
-    assert code == 0
-    assert "asymptotic limit" in err
-    data = json.loads(out)
-    assert data["operator"] == "resolvent_limit_infinity"
-    np.testing.assert_allclose(data["matrix"], np.full((3, 3), 1 / 3))
+    assert code == 0 and err == ""
+    assert data["operator"] == "resolvent" and data["gamma"] == 1e15
+    np.testing.assert_allclose(data["matrix"], np.full((3, 3), 1 / 3), rtol=0, atol=1e-14)
 
 
-def test_out_of_range_gamma_rejected_for_yosida(capsys):
-    code, out, err = run(capsys, "yosida", "--kind", "shift", "--m", "3", "--gamma", "1e15")
-    assert code == 2
-    assert "range" in err
+def test_huge_gamma_yosida_exits_0(capsys):
+    code, data, _ = run_json(capsys, "yosida", "--kind", "shift", "--m", "3", "--gamma", "1e15")
+    assert code == 0 and data["operator"] == "yosida"
+
+
+def test_yosida_inverse_overflow_exits_2_naming_gamma(capsys):
+    code, out, err = run(
+        capsys, "yosida", "--kind", "shift", "--m", "3", "--gamma", "1e-310", "--inverse"
+    )
+    assert code == 2 and out == ""
+    assert "overflow at gamma = 1e-310" in err
+
+
+def test_seed_is_rejected_outside_verify(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["show", "--kind", "shift", "--m", "3", "--seed", "3"])
+    assert excinfo.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+INSTANCE_OPTIONS = {"--kind", "--m", "--blocks", "--block-dim", "--matrix-path", "--dense-tol"}
+COMMON_OPTIONS = {"-h", "--help", "--format"}
+OPERATOR_OPTIONS = {"--materialize", "--apply"}
+GAMMA_OPTIONS = {"--gamma", "--inverse"}
+
+#: the options of every subcommand, pinned: a flag joins or leaves one only with an edit here
+SUBCOMMAND_OPTIONS = {
+    "show": COMMON_OPTIONS | INSTANCE_OPTIONS,
+    "resolvent": COMMON_OPTIONS | INSTANCE_OPTIONS | OPERATOR_OPTIONS | GAMMA_OPTIONS,
+    "yosida": COMMON_OPTIONS | INSTANCE_OPTIONS | OPERATOR_OPTIONS | GAMMA_OPTIONS,
+    "pinv": COMMON_OPTIONS | INSTANCE_OPTIONS | OPERATOR_OPTIONS,
+    "solve": COMMON_OPTIONS | INSTANCE_OPTIONS | {"--rhs", "--tol"},
+    "iterate": COMMON_OPTIONS | INSTANCE_OPTIONS | {"--gamma", "--x0", "--max-iter", "--tol"},
+    "verify": COMMON_OPTIONS | {"--seed", "--max-m", "--max-dim"},
+    "reproduce-paper": COMMON_OPTIONS | {"--gamma"},
+}
+
+
+def test_subcommand_options_are_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {flag for action in p._actions for flag in action.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
 
 
 def test_verify_small_grid_passes(capsys):

@@ -249,3 +249,16 @@ def test_report_round_trip_and_pass_semantics():
     assert data["seed"] == 9
     failing = ComparisonReport.from_deviations("demo", [1e-9], 1e-10, 9)
     assert not failing.passed
+
+
+@pytest.mark.parametrize(
+    "deviations",
+    [[np.nan, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, np.nan]],
+    ids=["first", "middle", "last"],
+)
+def test_report_fails_on_nan_anywhere(deviations):
+    # Python's max keeps its first argument when compared with NaN, so a NaN
+    # after the first sample used to vanish from the worst value
+    report = ComparisonReport.from_deviations("demo", deviations, 1e-10, 0)
+    assert np.isnan(report.max_abs_deviation)
+    assert not report.passed

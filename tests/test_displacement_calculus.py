@@ -511,6 +511,13 @@ def test_set_valued_inverse_basis_is_the_fixed_space_basis():
     assert set_valued_inverse(R, np.zeros(6)).basis is R.fixed_space_basis()
 
 
+def test_affine_subspace_equality_is_identity_and_hashable():
+    R = make_circular_shift(3)
+    first, second = (set_valued_inverse(R, [1.0, -1.0, 0.0]) for _ in range(2))
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
 def test_affine_subspace_element_weights_shape():
     s = AffineSubspace(point=np.zeros(2), basis=[np.array([1.0, 0.0])])
     with pytest.raises(ParameterError):

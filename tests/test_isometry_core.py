@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from displacement_kit import (
+    AffineSubspace,
     FiniteOrderIsometry,
     NumericError,
     ParameterError,
+    PolynomialOperator,
     ValidationError,
+    compare,
     ergodic_mean,
     make_circular_shift,
     make_dense,
     make_rotator,
     materialize,
+    oracle_pinv,
     oracle_projector_fix,
+    oracle_resolvent,
     proximal_point,
     resolvent_coefficients,
     series_resolvent_apply,
@@ -167,6 +172,7 @@ def test_apply_power_rejects_negative_power():
 
 
 SHIFT3 = make_circular_shift(3)
+NAN_2X2 = np.array([[np.nan, 0.0], [0.0, 1.0]])
 BAD_ARGUMENTS = {  # (call, name in the message); bool is no integer and no real here
     "order=True": (lambda: make_rotator(True), "order"),
     "blocks=True": (lambda: make_rotator(3, blocks=True), "blocks"),
@@ -192,6 +198,40 @@ BAD_ARGUMENTS = {  # (call, name in the message); bool is no integer and no real
     ),
     "gamma=True": (lambda: resolvent_coefficients(3, True), "gamma"),
     "gamma='1'": (lambda: resolvent_coefficients(3, "1"), "gamma"),
+    # arrays, and the scalars of the oracle: several used to raise numpy's
+    # LinAlgError or ValueError, or to return NaN
+    "series on a NaN matrix": (
+        lambda: series_resolvent_apply(NAN_2X2, 1.0, [1.0, 0.0], 1e-12),
+        "series operator",
+    ),
+    "series on a non-square matrix": (
+        lambda: series_resolvent_apply(np.ones((2, 3)), 1.0, [1.0, 0.0], 1e-12),
+        "series operator",
+    ),
+    "oracle projector of a NaN matrix": (lambda: oracle_projector_fix(NAN_2X2), "matrix"),
+    "oracle resolvent of a NaN matrix": (lambda: oracle_resolvent(NAN_2X2, 1.0), "matrix"),
+    "oracle resolvent gamma=True": (lambda: oracle_resolvent(np.eye(2), True), "gamma"),
+    "oracle resolvent gamma='1'": (lambda: oracle_resolvent(np.eye(2), "1"), "gamma"),
+    "oracle pinv of a vector": (lambda: oracle_pinv(np.ones(3)), "matrix"),
+    "oracle pinv of strings": (lambda: oracle_pinv([["a", "b"]]), "matrix"),
+    "point with NaN": (lambda: AffineSubspace(point=[np.nan, 1.0]), "point"),
+    "point as a matrix": (lambda: AffineSubspace(point=np.eye(2)), "point"),
+    "weights with NaN": (
+        lambda: AffineSubspace(point=[0.0, 0.0], basis=[[1.0, 0.0]]).element([np.nan]),
+        "weights",
+    ),
+    "compare dim=2.5": (lambda: compare(SHIFT3, SHIFT3, dim=2.5), "dim"),
+    "materialize dim=True": (lambda: materialize(lambda v: v, True), "dim"),
+    "dense ragged rows": (lambda: make_dense([[1.0, 0.0], [0.0]], 2), "matrix"),
+    "dense with inf": (lambda: make_dense([[np.inf, 0.0], [0.0, 1.0]], 2), "matrix"),
+    "dense complex": (lambda: make_dense(1j * np.eye(2), 2), "matrix"),
+    "dense 0 x 0": (lambda: make_dense(np.zeros((0, 0)), 2), "matrix"),
+    "oracle resolvent 0 x 0": (lambda: oracle_resolvent(np.zeros((0, 0)), 1.0), "matrix"),
+    "coefficients too short": (lambda: PolynomialOperator(SHIFT3, [1.0, 0.0]), "coefficients"),
+    "coefficients with NaN": (
+        lambda: SHIFT3.apply_polynomial([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        "coefficients",
+    ),
 }
 
 

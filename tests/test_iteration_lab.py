@@ -195,3 +195,10 @@ def test_lipschitz_bound_over_gamma_grid(R):
     for gamma in (0.1, 1.0, 10.0):
         L = lipschitz_estimate(resolvent_inverse(R, gamma))
         assert L <= 2.0 / (2.0 + gamma) + 1e-8
+
+
+def test_trajectory_equality_is_identity_and_hashable():
+    R = make_circular_shift(3)
+    first, second = (proximal_point(R, 1.0, [1.0, 2.0, 3.0]) for _ in range(2))
+    assert first == first and first != second
+    assert len({first, second, first}) == 2

@@ -12,7 +12,6 @@ PUBLIC_API = [
     "PolynomialOperator",
     "Trajectory",
     "ValidationError",
-    "asymptotic_limit",
     "compare",
     "displacement",
     "displacement_apply",

@@ -11,7 +11,6 @@ from displacement_kit import (
     NumericError,
     ParameterError,
     ValidationError,
-    asymptotic_limit,
     displacement_apply,
     make_circular_shift,
     make_rotator,
@@ -256,6 +255,29 @@ def test_complement_coefficients_match_exact_fractions(m):
             assert worst <= 1e-13, (float(gamma), worst)
 
 
+def _exact_geometric(m, q):
+    return [q**k * (1 - q) / (1 - q**m) for k in range(m)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("gamma", [1e-300, 1e-100, 1e-13, 1e13, 1e100, 1e300])
+def test_all_families_match_exact_fractions_at_extreme_gamma(m, gamma):
+    # every finite positive gamma is evaluated by the formula, with no limit operator
+    # in its place.  The error is normwise: where q^k underflows (yosida, m = 3,
+    # gamma = 1e-300) a coefficient of ~1e-600 reads 0, relative error 1.
+    R = make_circular_shift(m)
+    g = Fraction(gamma)
+    forward, inverse = g / (1 + g), 1 / (1 + g)
+    for op, exact in (
+        (resolvent(R, gamma), _exact_geometric(m, forward)),
+        (resolvent_inverse(R, gamma), _exact_complement(m, inverse, 1)),
+        (yosida(R, gamma), _exact_complement(m, forward, g)),
+        (yosida_inverse(R, gamma), [c / g for c in _exact_geometric(m, inverse)]),
+    ):
+        error = max(abs(Fraction(float(a)) - b) for a, b in zip(op.coefficients, exact))
+        assert float(error / max(abs(b) for b in exact)) <= 1e-15, op
+
+
 # --- truncated series ------------------------------------------------------------------
 
 
@@ -378,19 +400,16 @@ def test_series_rejects_bad_parameters():
 
 
 def test_limit_coefficients():
+    # the formula itself reaches both limits: the identity as gamma -> 0 and the
+    # fixed projector (the mean of the powers) as gamma -> inf
     R = make_circular_shift(3)
-    np.testing.assert_allclose(asymptotic_limit(R, "zero").coefficients, [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(resolvent(R, 1e-300).coefficients, [1.0, 0.0, 0.0], atol=1e-16)
     np.testing.assert_allclose(
-        asymptotic_limit(R, "infinity").coefficients, [1 / 3, 1 / 3, 1 / 3]
+        resolvent(R, 1e300).coefficients, projector_fix(R).coefficients, atol=1e-16
     )
     np.testing.assert_allclose(
-        materialize(asymptotic_limit(make_rotator(2), "infinity")), np.zeros((2, 2)), atol=1e-15
+        materialize(resolvent(make_rotator(2), 1e300)), np.zeros((2, 2)), atol=1e-15
     )
-
-
-def test_limit_rejects_unknown_direction():
-    with pytest.raises(ParameterError):
-        asymptotic_limit(make_rotator(3), "sideways")
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
@@ -401,7 +420,7 @@ def test_resolvent_monotone_approach_to_limits(R):
         np.linalg.norm(resolvent(R, 10.0**-k).apply(x) - x) for k in range(1, 9)
     ]
     assert all(b <= a + 1e-15 for a, b in zip(identity_devs, identity_devs[1:]))
-    proj_x = asymptotic_limit(R, "infinity").apply(x)
+    proj_x = projector_fix(R).apply(x)
     proj_devs = [
         np.linalg.norm(resolvent(R, 10.0**k).apply(x) - proj_x) for k in range(1, 9)
     ]
