@@ -5,6 +5,12 @@ Everything here works on explicit matrices with generic factorizations
 closed-form path; agreement between the two is the library's core evidence.
 The only code it shares with that path is input validation (the
 ``_check_*`` helpers of isometry_core), which does no arithmetic.
+
+Operators are applied to blocks: :func:`materialize` is one call on the
+identity block and :func:`compare` one call on the block of its samples, for
+an operator object (through its ``apply``, never the polynomial kernel) and
+for a matrix (one GEMM).  Only a bare callable is still called column by
+column.  The oracle arithmetic itself (LU, SVD) is unchanged.
 """
 
 from __future__ import annotations
@@ -66,19 +72,28 @@ class ComparisonReport:
 
 
 def _as_apply(op, dim=None):
-    """Normalize an operator-shaped object to (apply_function, dimension)."""
+    """Normalize an operator-shaped object to (block_function, dimension).
+
+    The function maps an (n, B) block to the block of its column images:
+    ``matrix @ X`` for an ndarray, ``op.apply`` for an object with ``apply``
+    and ``dim`` (which must take a block, as the package's operators do), and
+    a loop over the columns for a bare callable, which only sees 1-d vectors.
+    """
     if dim is not None:
         dim = _check_int(dim, "dim", 1)
     if isinstance(op, np.ndarray):
         matrix = _check_array(op, "operator matrix", (None, None))
         inferred = matrix.shape[1]
-        func = lambda x: matrix @ x
+        func = lambda X: matrix @ X
     elif hasattr(op, "apply") and hasattr(op, "dim"):
         func, inferred = op.apply, op.dim
     elif callable(op):
         if dim is None:
             raise ParameterError("dim is required for a bare callable operator")
-        func, inferred = op, dim
+        inferred = dim
+        func = lambda X: np.column_stack(
+            [np.asarray(op(x), dtype=float) for x in np.ascontiguousarray(X.T)]
+        )
     else:
         raise ParameterError(f"cannot interpret {type(op).__name__} as a linear operator")
     if dim is not None and dim != int(inferred):
@@ -87,10 +102,13 @@ def _as_apply(op, dim=None):
 
 
 def materialize(op, dim: int | None = None) -> np.ndarray:
-    """Dense matrix of any operator: column j is the image of the j-th basis vector."""
+    """Dense matrix of any operator: its image of the identity block, column j = op(e_j).
+
+    Row-major whatever layout the operator returns (a rotator's block comes
+    back transposed), so the oracle factorizes the same arrays as before.
+    """
     func, n = _as_apply(op, dim)
-    eye = np.eye(n)
-    return np.column_stack([np.asarray(func(eye[j]), dtype=float) for j in range(n)])
+    return np.ascontiguousarray(func(np.eye(n)), dtype=float)
 
 
 def oracle_resolvent(A, gamma: float) -> np.ndarray:
@@ -160,8 +178,9 @@ def compare(
 ) -> ComparisonReport:
     """Apply both operators to seeded Gaussian vectors plus every basis vector.
 
-    The report records the max/mean of the per-sample max-abs deviations, the
-    seed, and whether the max stayed within ``tol``.
+    The samples are the columns of one (n, n_samples + n) block, applied in
+    one call per operator.  The report records the max/mean of the per-sample
+    max-abs deviations, the seed, and whether the max stayed within ``tol``.
     """
     func_a, n = _as_apply(op_a, dim)
     func_b, n_b = _as_apply(op_b, dim)
@@ -169,10 +188,8 @@ def compare(
         raise ParameterError(f"operators disagree on dimension: {n} vs {n_b}")
     n_samples = _check_int(n_samples, "n_samples", 1)
     rng = np.random.default_rng(seed)
-    samples = [rng.standard_normal(n) for _ in range(n_samples)]
-    eye = np.eye(n)
-    samples.extend(eye[j] for j in range(n))
-    deviations = [
-        float(np.max(np.abs(np.asarray(func_a(v)) - np.asarray(func_b(v))))) for v in samples
-    ]
+    # row i of the draw is the i-th of n_samples consecutive standard_normal(n) calls
+    samples = np.hstack((rng.standard_normal((n_samples, n)).T, np.eye(n)))
+    gap = np.asarray(func_a(samples)) - np.asarray(func_b(samples))
+    deviations = np.max(np.abs(gap), axis=0)
     return ComparisonReport.from_deviations(label, deviations, tol, seed)

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .isometry_core import FiniteOrderIsometry, _check_array, _check_real, as_vector
+from .isometry_core import (
+    FiniteOrderIsometry,
+    _as_operand,
+    _check_array,
+    _check_real,
+    _is_finite_real,
+    as_vector,
+)
 
 #: default relative threshold for the range-membership test of the set-valued inverse
 RANGE_MEMBERSHIP_TOL = 1e-9
@@ -27,7 +34,8 @@ class PolynomialOperator:
     Application is :meth:`FiniteOrderIsometry.apply_polynomial`, whose cost
     depends on the kind of R: O(n + m) for a rotator, O(m n) up to
     SHIFT_CIRCULANT_MAX_ORDER and O(n log m) above it for a circular shift, and
-    m-1 matvecs (Horner) for a dense matrix.  Two operators over the same R add
+    m-1 matvecs (Horner) for a dense matrix; n becomes nB for an (n, B) block,
+    and the matvecs GEMMs.  Two operators over the same R add
     coefficientwise and compose by cyclic convolution of their coefficients,
     and any two of them commute.
     """
@@ -56,7 +64,7 @@ class PolynomialOperator:
         return cls(operator, c)
 
     def apply(self, x) -> np.ndarray:
-        """Evaluate sum_k c_k R^k x with the kernel for the kind of R."""
+        """Evaluate sum_k c_k R^k x with the kernel for the kind of R; x may be an (n, B) block."""
         return self.operator.apply_polynomial(self.coefficients, x)
 
     def operator_norm(self) -> float:
@@ -97,6 +105,9 @@ class PolynomialOperator:
         return PolynomialOperator(self.operator, self.coefficients - other.coefficients)
 
     def __mul__(self, scalar) -> "PolynomialOperator":
+        """Scale by any finite real; bool, strings and NaN raise ParameterError."""
+        if not _is_finite_real(scalar):
+            raise ParameterError(f"a polynomial operator scales by a finite real, got {scalar!r}")
         return PolynomialOperator(self.operator, self.coefficients * float(scalar))
 
     __rmul__ = __mul__
@@ -156,8 +167,8 @@ class AffineSubspace:
 
 
 def displacement_apply(R: FiniteOrderIsometry, x) -> np.ndarray:
-    """Apply the displacement mapping: x - Rx."""
-    v = as_vector(x, R.dim)
+    """Apply the displacement mapping: x - Rx, column by column for an (n, B) block."""
+    v = _as_operand(x, R.dim)
     return v - R.apply(v)
 
 

@@ -5,14 +5,18 @@ for a certified integer order m >= 2.  Three storage kinds are supported:
 plane rotators (block-diagonal rotations by 2*pi/m), circular block shifts,
 and explicit dense matrices certified at construction time.
 
-Only this module knows the storage kinds, so it also evaluates polynomials
+Every evaluation path takes its operand through :func:`_as_operand`: a vector
+of length n, or an (n, B) block whose B columns are mapped at once.  Only this
+module knows the storage kinds, so it also evaluates polynomials
 sum_k c_k R^k x (:meth:`FiniteOrderIsometry.apply_polynomial`) with one kernel
-per kind: a rotator's polynomial is the single complex scalar p(e^{2*pi*i/m})
-on every 2x2 block, O(n + m); a shift's is a cyclic convolution along the block
-axis, an m x m circulant product in O(m n) for m <= SHIFT_CIRCULANT_MAX_ORDER
-and an FFT in O(n log m) above it; a dense matrix takes m-1 matvecs by
-Horner, O(m n^2).  R.apply keeps its own per-kind code; the adjoint and the
-powers R^k are the polynomial kernel with a unit coefficient vector, at its cost.
+per kind, each working along axis 0: a rotator's polynomial is the single
+complex scalar p(e^{2*pi*i/m}) on every 2x2 block, O(nB + m); a shift's is a
+cyclic convolution along the block axis, an m x m circulant product in
+O(m nB) for m <= SHIFT_CIRCULANT_MAX_ORDER and an FFT in O(nB log m) above
+it; a dense matrix takes m-1 products with the stored matrix by Horner,
+O(m n^2 B), GEMMs for a block.  R.apply keeps its own per-kind code; the
+adjoint and the powers R^k are the polynomial kernel with a unit coefficient
+vector, at its cost.
 
 Each kind also states its spectrum, a multiplicity per m-th root of unity, and
 an orthonormal basis of Fix R: in closed form for a rotator and a shift, and
@@ -46,18 +50,48 @@ CIRCULAR_SHIFT = "circular_shift"
 DENSE = "dense"
 
 
-def as_vector(x, dim: int) -> np.ndarray:
-    """Coerce ``x`` to a finite float vector of length ``dim`` (ParameterError otherwise)."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ParameterError(f"expected a 1-d vector, got array of shape {v.shape}")
-    if v.shape[0] != dim:
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; ParameterError naming ``name`` for ragged input and
+    for strings, objects or complex numbers, which are refused rather than cast."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # ragged rows
+        raise ParameterError(f"{name} must be an array of real numbers") from None
+    if a.dtype != np.float64:  # the hot path: float64 input is neither checked nor copied
+        if a.dtype.kind not in "biuf":
+            raise ParameterError(f"{name} must be an array of real numbers, got dtype {a.dtype}")
+        a = a.astype(float)
+    return a
+
+
+def _as_operand(x, dim: int) -> np.ndarray:
+    """Coerce ``x`` to a finite float vector of length ``dim`` or a (dim, B) block, B >= 0.
+
+    Integer and bool entries convert to float; any other dtype, another shape,
+    or a NaN/inf entry raises ParameterError.
+    """
+    v = _real_array(x, "vector")
+    if v.ndim == 1:
+        if v.shape[0] != dim:
+            raise ParameterError(
+                f"dimension mismatch: vector has length {v.shape[0]}, operator expects {dim}"
+            )
+    elif v.ndim != 2 or v.shape[0] != dim:
         raise ParameterError(
-            f"dimension mismatch: vector has length {v.shape[0]}, operator expects {dim}"
+            f"dimension mismatch: operand has shape {v.shape}, operator expects a vector "
+            f"of length {dim} or a ({dim}, B) block"
         )
     if not np.isfinite(v).all():
         raise ParameterError("vector entries must all be finite (got NaN or inf)")
     return v
+
+
+def as_vector(x, dim: int) -> np.ndarray:
+    """:func:`_as_operand` for the paths that take one vector only."""
+    v = _real_array(x, "vector")
+    if v.ndim != 1:
+        raise ParameterError(f"expected a 1-d vector, got array of shape {v.shape}")
+    return _as_operand(v, dim)
 
 
 def _check_int(value, name: str, minimum: int) -> int:
@@ -67,10 +101,14 @@ def _check_int(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def _is_finite_real(value) -> bool:
+    """True for a finite real number, numpy scalars included and bool excluded."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _check_real(value, name: str, *, allow_zero: bool = False) -> float:
     """``value`` as a finite float > 0 (>= 0 with ``allow_zero``); ParameterError otherwise."""
-    valid = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (valid and math.isfinite(value) and (value > 0 or (allow_zero and value == 0))):
+    if not (_is_finite_real(value) and (value > 0 or (allow_zero and value == 0))):
         sign = "nonnegative" if allow_zero else "positive"
         raise ParameterError(f"{name} must be a {sign} finite real, got {value!r}")
     return float(value)
@@ -84,14 +122,7 @@ def _check_array(value, name: str, shape: tuple) -> np.ndarray:
     and bool entries convert to float; strings, objects and complex numbers
     are refused rather than cast.
     """
-    try:
-        a = np.asarray(value)
-    except (TypeError, ValueError):  # ragged rows
-        raise ParameterError(f"{name} must be an array of real numbers") from None
-    if a.dtype != np.float64:
-        if a.dtype.kind not in "biuf":
-            raise ParameterError(f"{name} must be an array of real numbers, got dtype {a.dtype}")
-        a = a.astype(float)
+    a = _real_array(value, name)
     if a.shape != shape:  # equal tuples need no walk: the coefficients' hot path
         square = {got for want, got in zip(shape, a.shape) if want == "n"}
         if (
@@ -147,21 +178,26 @@ class FiniteOrderIsometry:
 
     @staticmethod
     def _rotate(v: np.ndarray, c: float, s: float) -> np.ndarray:
-        # each pair (x0, x1) read as x0 + i x1 and multiplied by c + i s: one pass
-        pairs = np.ascontiguousarray(v).view(np.complex128)
-        return (pairs * complex(c, s)).view(np.float64)
+        # each pair of rows (x0, x1) read as x0 + i x1 and multiplied by c + i s: one
+        # pass; a block goes through the complex view of its transpose, a row per column
+        pairs = np.ascontiguousarray(v.T).view(np.complex128)
+        return (pairs * complex(c, s)).view(np.float64).T
+
+    def _blocks(self, v: np.ndarray) -> np.ndarray:
+        # a shift's m blocks along axis 0: (m, b) for a vector, (m, b*B) for a block
+        return v.reshape(self.order, v.size // self.order)
 
     def apply(self, x) -> np.ndarray:
-        """Return R x.
+        """Return R x, or R X column by column for an (n, B) block X.
 
         Kept apart from :meth:`apply_polynomial`: the dense oracle materializes R
         through this method, so it must not share the polynomial kernels.
         """
-        v = as_vector(x, self.dim)
+        v = _as_operand(x, self.dim)
         if self.kind == ROTATOR:
             return self._rotate(v, self._cos, self._sin)
         if self.kind == CIRCULAR_SHIFT:
-            return np.roll(v.reshape(self.order, self._block_dim), 1, axis=0).ravel()
+            return np.roll(self._blocks(v), 1, axis=0).reshape(v.shape)
         return self._matrix @ v
 
     __call__ = apply
@@ -177,16 +213,16 @@ class FiniteOrderIsometry:
         return self.apply_polynomial(unit, x)
 
     def apply_polynomial(self, coefficients, x) -> np.ndarray:
-        """Return sum_k c_k R^k x for the coefficients (c_0, ..., c_{m-1}).
+        """Return sum_k c_k R^k x for the coefficients (c_0, ..., c_{m-1}); x may be a block.
 
         Rotator: the scalar z = sum_k c_k w^k, w = cos + i sin, by Horner, then
         a I + b J with a + ib = z on each 2x2 block.  Shift: the circulant
         C[i, j] = c[(i - j) mod m] applied along the block axis, as a matrix
         product up to SHIFT_CIRCULANT_MAX_ORDER and through rfft/irfft above.
-        Dense: Horner, m-1 matvecs with the stored matrix.
+        Dense: Horner, m-1 products with the stored matrix.
         """
         c = _check_array(coefficients, "coefficients", (self.order,))
-        v = as_vector(x, self.dim)
+        v = _as_operand(x, self.dim)
         if self.kind == ROTATOR:
             w = complex(self._cos, self._sin)
             z = 0j
@@ -195,12 +231,12 @@ class FiniteOrderIsometry:
             return self._rotate(v, z.real, z.imag)
         if self.kind == CIRCULAR_SHIFT:
             m = self.order
-            blocks = v.reshape(m, self._block_dim)
+            blocks = self._blocks(v)
             if m <= SHIFT_CIRCULANT_MAX_ORDER:
                 index = (np.arange(m)[:, None] - np.arange(m)) % m
-                return (c[index] @ blocks).ravel()
+                return (c[index] @ blocks).reshape(v.shape)
             spectrum = np.fft.rfft(c)[:, None] * np.fft.rfft(blocks, axis=0)
-            return np.fft.irfft(spectrum, n=m, axis=0).ravel()
+            return np.fft.irfft(spectrum, n=m, axis=0).reshape(v.shape)
         acc = c[-1] * v
         for ck in c[-2::-1]:
             acc = self._matrix @ acc

@@ -2,9 +2,11 @@
 
 `run_verification` aggregates each named invariant over a grid of instances
 (all three operator kinds, orders 2..8, dimensions up to 64) and returns one
-ComparisonReport per invariant.  `reproduce_worked_examples` re-derives the
-tabulated small-instance matrices and diffs them against the coefficient
-machinery.
+ComparisonReport per invariant.  Each section draws its sample vectors as one
+(n, k) block per instance and runs every invariant on the first column through
+the 1-d API and on the other columns as one block.  `reproduce_worked_examples`
+re-derives the tabulated small-instance matrices and diffs them against the
+coefficient machinery.
 """
 
 from __future__ import annotations
@@ -100,17 +102,31 @@ def repeated_apply(R: FiniteOrderIsometry, k: int, x) -> np.ndarray:
     return x
 
 
-def _unit_vectors(rng: np.random.Generator, dim: int, count: int) -> list:
-    out = []
-    for _ in range(count):
-        v = rng.standard_normal(dim)
-        nrm = float(np.linalg.norm(v))
-        out.append(v / nrm if nrm > 0 else np.ones(dim) / np.sqrt(dim))
-    return out
+def _unit_block(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` Gaussian unit vectors as the columns of a (dim, count) block; the
+    draws are those of ``count`` consecutive ``standard_normal(dim)`` calls."""
+    block = rng.standard_normal((count, dim)).T
+    return block / np.linalg.norm(block, axis=0)
+
+
+def _vector_then_block(block: np.ndarray) -> tuple:
+    """The first column as a 1-d vector, then the other columns as one block: each
+    invariant runs once through the 1-d API and through the block API for the rest."""
+    return block[:, 0], block[:, 1:]
 
 
 def _max_abs(a) -> float:
     return float(np.max(np.abs(a)))
+
+
+def _column_max_abs(a) -> np.ndarray:
+    """max |a| per column of a block; a scalar for a vector."""
+    return np.max(np.abs(a), axis=0)
+
+
+def _column_dot(a, b) -> np.ndarray:
+    """<a_j, b_j> per column of two blocks; a scalar for two vectors."""
+    return np.sum(a * b, axis=0)
 
 
 #: entrywise tolerance of :func:`reproduce_worked_examples`
@@ -150,18 +166,22 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
     reports: list = []
 
     def add(label, deviations, tol):
-        reports.append(ComparisonReport.from_deviations(label, deviations, tol, seed))
+        # each entry is one sample's deviation or the column deviations of a block
+        flat = np.hstack(deviations).tolist() if deviations else []
+        reports.append(ComparisonReport.from_deviations(label, flat, tol, seed))
 
     # --- isometry invariants --------------------------------------------
     norm_devs, order_devs, adjoint_devs, adjoint_power_devs, power_devs = [], [], [], [], []
     for R in instances:
-        for x in _unit_vectors(rng, R.dim, 16):
-            norm_devs.append(abs(float(np.linalg.norm(R.apply(x))) - float(np.linalg.norm(x))))
-            order_devs.append(_max_abs(repeated_apply(R, R.order, x) - x))
-            y = rng.standard_normal(R.dim)
-            adjoint_devs.append(abs(float(R.apply(x) @ y) - float(x @ R.adjoint_apply(y))))
+        X = _unit_block(rng, R.dim, 16)
+        Y = rng.standard_normal((16, R.dim)).T
+        for x, y in zip(_vector_then_block(X), _vector_then_block(Y)):
+            rx = R.apply(x)
+            norm_devs.append(np.abs(np.linalg.norm(rx, axis=0) - np.linalg.norm(x, axis=0)))
+            order_devs.append(_column_max_abs(repeated_apply(R, R.order, x) - x))
+            adjoint_devs.append(np.abs(_column_dot(rx, y) - _column_dot(x, R.adjoint_apply(y))))
             adjoint_power_devs.append(
-                _max_abs(R.adjoint_apply(x) - repeated_apply(R, R.order - 1, x))
+                _column_max_abs(R.adjoint_apply(x) - repeated_apply(R, R.order - 1, x))
             )
         mat = materialize(R)
         acc = np.eye(R.dim)
@@ -214,38 +234,44 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
         for a, b in ((proj, skew), (skew, pinv), (pinv, extra), (extra, proj)):
             commute_devs.append(_max_abs(materialize(a @ b) - materialize(b @ a)))
 
-        for x in _unit_vectors(rng, R.dim, 16):
-            proj_split.append(_max_abs(proj.apply(x) + comp.apply(x) - x))
+        X = _unit_block(rng, R.dim, 16)
+        # row j holds the j-th second point, then the j-th weights of the solution set
+        draws = rng.standard_normal((16, R.dim + basis.shape[0]))
+        Y1 = comp.apply(X)
+        Y2 = comp.apply(draws[:, : R.dim].T)
+        for x, y1, y2 in zip(*map(_vector_then_block, (X, Y1, Y2))):
+            px = proj.apply(x)
+            proj_split.append(_column_max_abs(px + comp.apply(x) - x))
             proj_split.append(
-                abs(
-                    float(np.linalg.norm(proj.apply(x))) ** 2
-                    + float(np.linalg.norm(comp.apply(x))) ** 2
-                    - float(np.linalg.norm(x)) ** 2
+                np.abs(
+                    np.linalg.norm(px, axis=0) ** 2
+                    + np.linalg.norm(y1, axis=0) ** 2
+                    - np.linalg.norm(x, axis=0) ** 2
                 )
             )
-            kernel_devs.append(_max_abs(displacement_apply(R, proj.apply(x))))
-            kernel_devs.append(_max_abs(proj.apply(displacement_apply(R, x))))
+            kernel_devs.append(_column_max_abs(displacement_apply(R, px)))
+            kernel_devs.append(_column_max_abs(proj.apply(displacement_apply(R, x))))
             double_disp.append(
-                _max_abs(
+                _column_max_abs(
                     displacement_apply(R, 2.0 * skew.apply(displacement_apply(R, x)))
                     - (x - R.apply_power(2, x))
                 )
             )
             # solution-set behaviour on the range of the displacement
-            y1 = comp.apply(x)
-            y2 = comp.apply(rng.standard_normal(R.dim))
             dy = y1 - y2
             gap = pinv.apply(y1) - pinv.apply(y2)
-            strong_mono.append(max(0.0, 0.5 * float(dy @ dy) - float(gap @ dy)))
-            skew_neutral.append(abs(float(skew.apply(y1) @ y1)))
-            minv_cross.append(_max_abs(comp.apply(pinv.apply(y1) - 0.5 * y1 - skew.apply(y1))))
+            strong_mono.append(np.maximum(0.0, 0.5 * _column_dot(dy, dy) - _column_dot(gap, dy)))
+            skew_neutral.append(np.abs(_column_dot(skew.apply(y1), y1)))
+            minv_cross.append(
+                _column_max_abs(comp.apply(pinv.apply(y1) - 0.5 * y1 - skew.apply(y1)))
+            )
+        for y1, weights in zip(Y1.T, draws[:, R.dim :]):  # the solver takes one vector
             solution = set_valued_inverse(R, y1)
             if solution is None:
                 solve_devs.append(1.0)
                 continue
             solve_devs.append(_max_abs(displacement_apply(R, solution.point) - y1))
             if solution.degrees_of_freedom:
-                weights = rng.standard_normal(solution.degrees_of_freedom)
                 solve_devs.append(_max_abs(displacement_apply(R, solution.element(weights)) - y1))
     add("fixed projector + complement reconstruct Id (with Pythagoras)", proj_split, 1e-10)
     add("fixed projector is symmetric idempotent", proj_matrix, 1e-10)
@@ -266,7 +292,7 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
 
     # --- resolvent / Yosida invariants ------------------------------------
     res_oracle, res_equation, res_norm, firm_devs, inv_identity = [], [], [], [], []
-    inv_inclusion, yosida_consistency, yosida_sum, series_devs = [], [], [], []
+    inv_inclusion, yosida_consistency, yosida_sum, series_devs, block_devs = [], [], [], [], []
     for R in instances:
         mat = materialize(R)
         proj = projector_fix(R)
@@ -282,26 +308,36 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
             yosida_sum.append(
                 abs(gamma * float(np.sum(yosida_inv_poly.coefficients)) - 1.0)
             )
-            for x in _unit_vectors(rng, R.dim, 2):
+            for x in _vector_then_block(_unit_block(rng, R.dim, 2)):
                 series_devs.append(
-                    _max_abs(series_resolvent_apply(R, gamma, x, 1e-12) - res_poly.apply(x))
+                    _column_max_abs(series_resolvent_apply(R, gamma, x, 1e-12) - res_poly.apply(x))
                 )
-            for x in _unit_vectors(rng, R.dim, 8):
+            X = _unit_block(rng, R.dim, 8)
+            D = X - rng.standard_normal((8, R.dim)).T
+            D /= np.linalg.norm(D, axis=0)
+            for op in (R, res_poly, inv_poly, yosida_poly, yosida_inv_poly):
+                # in units of sum |c_k| >= ||p(R)||, which the rounding scales with (1 for R)
+                scale = 1.0 if op is R else float(np.sum(np.abs(op.coefficients)))
+                columns = np.column_stack([op.apply(x) for x in X.T])
+                block_devs.append(_column_max_abs(op.apply(X) - columns) / scale)
+            for x, d in zip(_vector_then_block(X), _vector_then_block(D)):
                 jx = res_poly.apply(x)
-                res_equation.append(_max_abs(jx + gamma * displacement_apply(R, jx) - x))
-                d = x - rng.standard_normal(R.dim)
-                d /= float(np.linalg.norm(d))
+                res_equation.append(_column_max_abs(jx + gamma * displacement_apply(R, jx) - x))
                 for image in (res_poly.apply(d), inv_poly.apply(d)):
-                    firm_devs.append(max(0.0, float(image @ image) - float(d @ image)))
+                    firm_devs.append(
+                        np.maximum(0.0, _column_dot(image, image) - _column_dot(d, image))
+                    )
                 z = inv_poly.apply(x)
-                inv_identity.append(_max_abs(z + res_reciprocal.apply(x) - x))
-                inv_inclusion.append(_max_abs(displacement_apply(R, (x - z) / gamma) - z))
-                inv_inclusion.append(_max_abs(proj.apply(z)))
+                inv_identity.append(_column_max_abs(z + res_reciprocal.apply(x) - x))
+                inv_inclusion.append(
+                    _column_max_abs(displacement_apply(R, (x - z) / gamma) - z)
+                )
+                inv_inclusion.append(_column_max_abs(proj.apply(z)))
                 yosida_consistency.append(
-                    _max_abs(gamma * yosida_poly.apply(x) + res_poly.apply(x) - x)
+                    _column_max_abs(gamma * yosida_poly.apply(x) + jx - x)
                 )
                 yosida_consistency.append(
-                    _max_abs(gamma * yosida_inv_poly.apply(x) - res_reciprocal.apply(x))
+                    _column_max_abs(gamma * yosida_inv_poly.apply(x) - res_reciprocal.apply(x))
                 )
     add("resolvent matches the linear-solve oracle", res_oracle, 1e-10)
     add("resolvent equation (Id + gamma M) J = Id", res_equation, 1e-10)
@@ -312,6 +348,7 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
     add("Yosida approximations are consistent with resolvents", yosida_consistency, 1e-12)
     add("inverse Yosida coefficients sum to 1/gamma", yosida_sum, 1e-12)
     add("series resolvent matches the closed form", series_devs, 1e-11)
+    add("block apply equals column-by-column apply", block_devs, 1e-14)  # units of sum |c_k|
 
     # --- coefficient simplex over extreme gamma ----------------------------
     simplex_devs = []
@@ -331,15 +368,12 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
         near_infinity = [(gamma, resolvent(R, gamma)) for gamma in (1e3, 1e5)]
         oracle_limits.append(_max_abs(oracle_resolvent(mat, 1e-6) - np.eye(R.dim)))
         oracle_limits.append(_max_abs(oracle_resolvent(mat, 1e6) - oracle_projector_fix(mat)))
-        for x in _unit_vectors(rng, R.dim, 4):
+        for x in _vector_then_block(_unit_block(rng, R.dim, 4)):
+            px = proj.apply(x)
             for gamma, res in near_zero:
-                small_gamma.append(_max_abs(res.apply(x) - x) / gamma)
+                small_gamma.append(_column_max_abs(res.apply(x) - x) / gamma)
             for gamma, res in near_infinity:
-                large_gamma.append(
-                    float(np.linalg.norm(res.apply(x) - proj.apply(x)))
-                    * gamma
-                    / R.order
-                )
+                large_gamma.append(np.linalg.norm(res.apply(x) - px, axis=0) * gamma / R.order)
     add("resolvent nears identity for small gamma (units of gamma)", small_gamma, 5.0)
     add("resolvent nears fixed projector for large gamma (units of m/gamma)", large_gamma, 5.0)
     add("oracle resolvent limits at extreme gamma", oracle_limits, 1e-4)

@@ -17,7 +17,7 @@ from displacement_kit import make_circular_shift
 
 def test_battery_passes_on_reduced_grid():
     reports = run_verification(seed=1, max_m=3, max_dim=6)
-    assert len(reports) == 42
+    assert len(reports) == 43
     failing = [r.label for r in reports if not r.passed]
     assert failing == []
     labels = {r.label for r in reports}
