@@ -204,7 +204,10 @@ def _emit_pretty(payload: dict) -> None:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        # streamed chunk by chunk: the bytes of print(json.dumps(...)) without
+        # holding the whole document as one string
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     elif fmt == "csv":
         _emit_csv(payload)
     else:

@@ -34,10 +34,10 @@ class PolynomialOperator:
     Application is :meth:`FiniteOrderIsometry.apply_polynomial`, whose cost
     depends on the kind of R: O(n + m) for a rotator, O(m n) up to
     SHIFT_CIRCULANT_MAX_ORDER and O(n log m) above it for a circular shift, and
-    m-1 matvecs (Horner) for a dense matrix; n becomes nB for an (n, B) block,
-    and the matvecs GEMMs.  Two operators over the same R add
-    coefficientwise and compose by cyclic convolution of their coefficients,
-    and any two of them commute.
+    ceil(m/2) matvecs for a dense matrix (Horner in A^2 over the pairs of
+    coefficients); n becomes nB for an (n, B) block, and the matvecs GEMMs.
+    Two operators over the same R add coefficientwise and compose by cyclic
+    convolution of their coefficients, and any two of them commute.
     """
 
     __slots__ = ("operator", "coefficients")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
+from .isometry_core import _check_array, _real_array
 
 
 def _read_json(path: str):
@@ -22,21 +23,11 @@ def _read_json(path: str):
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _finite_or_raise(arr: np.ndarray, path: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{path} contains non-finite entries")
-    return arr
-
-
 def load_matrix(path) -> np.ndarray:
     """Read a matrix from a .json (arrays-of-rows) or CSV file."""
     p = str(path)
     if p.endswith(".json"):
-        obj = _read_json(p)
-        try:
-            arr = np.asarray(obj, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"{p}: expected an array of equal-length rows") from exc
+        arr = _read_json(p)
     else:
         try:
             arr = np.loadtxt(p, delimiter=",", ndmin=2)
@@ -44,20 +35,14 @@ def load_matrix(path) -> np.ndarray:
             raise ParameterError(f"cannot read {p}: {exc}") from exc
         except ValueError as exc:
             raise ParameterError(f"{p} is not a rectangular CSV matrix: {exc}") from exc
-    if arr.ndim != 2:
-        raise ParameterError(f"{p}: expected a matrix, got array of shape {arr.shape}")
-    return _finite_or_raise(arr, p)
+    return _check_array(arr, p, (None, None))
 
 
 def load_vector(path) -> np.ndarray:
     """Read a vector from a .json (flat array) or CSV (single row or column) file."""
     p = str(path)
     if p.endswith(".json"):
-        obj = _read_json(p)
-        try:
-            arr = np.asarray(obj, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"{p}: expected a flat array of numbers") from exc
+        arr = _real_array(_read_json(p), p)
     else:
         try:
             arr = np.atleast_1d(np.loadtxt(p, delimiter=","))
@@ -67,9 +52,7 @@ def load_vector(path) -> np.ndarray:
             raise ParameterError(f"{p} is not a CSV vector: {exc}") from exc
     if arr.ndim == 2 and 1 in arr.shape:
         arr = arr.ravel()
-    if arr.ndim != 1:
-        raise ParameterError(f"{p}: expected a vector, got array of shape {arr.shape}")
-    return _finite_or_raise(arr, p)
+    return _check_array(arr, p, (None,))
 
 
 def save_matrix(path, matrix) -> None:

@@ -13,10 +13,12 @@ per kind, each working along axis 0: a rotator's polynomial is the single
 complex scalar p(e^{2*pi*i/m}) on every 2x2 block, O(nB + m); a shift's is a
 cyclic convolution along the block axis, an m x m circulant product in
 O(m nB) for m <= SHIFT_CIRCULANT_MAX_ORDER and an FFT in O(nB log m) above
-it; a dense matrix takes m-1 products with the stored matrix by Horner,
-O(m n^2 B), GEMMs for a block.  R.apply keeps its own per-kind code; the
-adjoint and the powers R^k are the polynomial kernel with a unit coefficient
-vector, at its cost.
+it; a dense matrix A splits the sum into even and odd powers,
+sum_j (A^2)^j (c_{2j} x + c_{2j+1} A x), and takes ceil(m/2) products, one with
+A and the rest by Horner in the square A^2 that make_dense keeps from its
+order certificate: O(m n^2 B / 2), GEMMs for a block.  R.apply keeps its own
+per-kind code and never reads the square; the adjoint and the powers R^k are
+the polynomial kernel with a unit coefficient vector, at its cost.
 
 Each kind also states its spectrum, a multiplicity per m-th root of unity, and
 an orthonormal basis of Fix R: in closed form for a rotator and a shift, and
@@ -148,15 +150,22 @@ class FiniteOrderIsometry:
     instead of the bare constructor.
     """
 
-    __slots__ = ("kind", "order", "dim", "_cos", "_sin", "_block_dim", "_matrix", "_spectrum")
+    __slots__ = (
+        "kind", "order", "dim", "_cos", "_sin", "_block_dim", "_matrix", "_square", "_spectrum"
+    )
 
-    def __init__(self, kind, order, dim, *, cos_sin=None, block_dim=None, matrix=None):
+    def __init__(self, kind, order, dim, *, cos_sin=None, block_dim=None, matrix=None, square=None):
         self.kind = kind
         self.order = int(order)
         self.dim = int(dim)
         self._cos, self._sin = cos_sin if cos_sin is not None else (None, None)
         self._block_dim = block_dim
         self._matrix = matrix
+        # dense only: A @ A for the polynomial kernel, one more n x n array; computed
+        # here unless make_dense passes the one its order certificate made
+        if matrix is not None and square is None:
+            square = matrix @ matrix
+        self._square = square
         self._spectrum = None  # dense only: (multiplicities, Fix basis), made on first use
 
     def __repr__(self) -> str:
@@ -219,7 +228,9 @@ class FiniteOrderIsometry:
         a I + b J with a + ib = z on each 2x2 block.  Shift: the circulant
         C[i, j] = c[(i - j) mod m] applied along the block axis, as a matrix
         product up to SHIFT_CIRCULANT_MAX_ORDER and through rfft/irfft above.
-        Dense: Horner, m-1 products with the stored matrix.
+        Dense: with u = A x, sum_j (A^2)^j (c_{2j} x + c_{2j+1} u) by Horner in
+        the stored square A^2: ceil(m/2) products in place of Horner's m-1, at the
+        price of one more operand-sized temporary (u).
         """
         c = _check_array(coefficients, "coefficients", (self.order,))
         v = _as_operand(x, self.dim)
@@ -237,10 +248,15 @@ class FiniteOrderIsometry:
                 return (c[index] @ blocks).reshape(v.shape)
             spectrum = np.fft.rfft(c)[:, None] * np.fft.rfft(blocks, axis=0)
             return np.fft.irfft(spectrum, n=m, axis=0).reshape(v.shape)
-        acc = c[-1] * v
-        for ck in c[-2::-1]:
-            acc = self._matrix @ acc
-            acc += ck * v
+        u = self._matrix @ v
+        top = 2 * ((self.order - 1) // 2)  # the last even index; c[top + 1] may not exist
+        acc = c[top] * v
+        if top + 1 < self.order:
+            acc += c[top + 1] * u
+        for j in range(top - 2, -1, -2):
+            acc = self._square @ acc
+            acc += c[j] * v
+            acc += c[j + 1] * u
         return acc
 
     def eigen_multiplicities(self) -> np.ndarray:
@@ -342,7 +358,9 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
     """Wrap an explicit matrix after certifying it is an isometry of order m.
 
     Accepts iff max|A^T A - I| <= tol and max|A^m - I| <= tol; the raised
-    ValidationError names whichever bound failed.
+    ValidationError names whichever bound failed.  A^m is taken through the
+    square S = A @ A, as S^(m//2), times A for odd m, in as many products as
+    A^m by repeated squaring; S is kept for the polynomial kernel.
     """
     A = _check_array(matrix, "matrix", ("n", "n"))
     m = _check_int(m, "order", 2)
@@ -354,9 +372,13 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
         raise ValidationError(
             f"not an isometry: max|A^T A - I| = {isometry_dev:.3e} exceeds tol = {tol:.1e}"
         )
-    order_dev = float(np.max(np.abs(np.linalg.matrix_power(A, m) - eye)))
+    square = A @ A
+    power = np.linalg.matrix_power(square, m // 2)
+    if m % 2:
+        power = power @ A
+    order_dev = float(np.max(np.abs(power - eye)))
     if order_dev > tol:
         raise ValidationError(
             f"order check failed: max|A^{m} - I| = {order_dev:.3e} exceeds tol = {tol:.1e}"
         )
-    return FiniteOrderIsometry(DENSE, m, n, matrix=A.copy())
+    return FiniteOrderIsometry(DENSE, m, n, matrix=A.copy(), square=square)

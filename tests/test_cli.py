@@ -333,3 +333,46 @@ def test_deterministic_output_given_seed(capsys):
     code2, out2, _ = run(capsys, "verify", "--max-m", "2", "--max-dim", "4", "--seed", "7")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _json_commands(tmp_path):
+    # one invocation of every subcommand with JSON output, on small instances
+    vec3, vec2, mat = tmp_path / "v3.json", tmp_path / "v2.json", tmp_path / "m.json"
+    save_vector(vec3, [1.0, -2.0, 0.5])
+    save_vector(vec2, [1.0, -1.0])
+    save_matrix(mat, materialize(make_circular_shift(3)))
+    shift3 = ("--kind", "shift", "--m", "3")
+    return {
+        "show": ("show", "--kind", "dense-file", "--m", "3", "--matrix-path", str(mat)),
+        "resolvent": (
+            "resolvent", *shift3, "--gamma", "1/3", "--materialize", "--apply", str(vec3)
+        ),
+        "yosida": ("yosida", "--kind", "rotator", "--m", "5", "--gamma", "2", "--inverse"),
+        "pinv": ("pinv", *shift3, "--materialize"),
+        "solve": ("solve", "--kind", "shift", "--m", "2", "--rhs", str(vec2)),
+        "solve-not-in-range": ("solve", *shift3, "--rhs", str(vec3)),
+        "iterate": ("iterate", *shift3, "--gamma", "0.1", "--x0", str(vec3)),
+        "verify": ("verify", "--max-m", "2", "--max-dim", "4"),
+        "reproduce-paper": ("reproduce-paper",),
+    }
+
+
+def test_json_output_is_byte_identical_to_dumps(capsys, tmp_path, monkeypatch):
+    import displacement_kit.cli as cli
+
+    payloads = []
+    emit = cli._emit
+
+    def recording_emit(payload, fmt):
+        payloads.append(payload)
+        emit(payload, fmt)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    commands = _json_commands(tmp_path)
+    assert {argv[0] for argv in commands.values()} == set(SUBCOMMAND_OPTIONS)
+    for name, argv in commands.items():
+        payloads.clear()
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (name, err)
+        assert len(payloads) == 1, name
+        assert out == json.dumps(payloads[0], indent=2) + "\n", name

@@ -5,9 +5,11 @@ import pytest
 
 from displacement_kit import (
     AffineSubspace,
+    FiniteOrderIsometry,
     ParameterError,
     PolynomialOperator,
     ValidationError,
+    compare,
     displacement,
     displacement_apply,
     make_circular_shift,
@@ -26,7 +28,7 @@ from displacement_kit import (
     yosida_inverse,
 )
 from displacement_kit.isometry_core import SHIFT_CIRCULANT_MAX_ORDER
-from displacement_kit.verification import skew_part_folded, standard_instances
+from displacement_kit.verification import conjugated_dense, skew_part_folded, standard_instances
 
 INSTANCES = standard_instances(max_m=6, max_dim=12, seed=3)
 IDS = lambda R: f"{R.kind}-m{R.order}-n{R.dim}"
@@ -142,6 +144,94 @@ def test_kernel_matches_horner_and_power_sum(R):
         out = PolynomialOperator(R, coeffs).apply(x)
         np.testing.assert_allclose(out, horner_reference(R, coeffs, x), atol=1e-12, err_msg=which)
         np.testing.assert_allclose(out, coeffs @ powers, atol=1e-12, err_msg=which)
+
+
+#: dense conjugates of shifts with two-dimensional blocks: every m-th root of unity
+#: is an eigenvalue; odd m leave the top coefficient c_{m-1} unpaired in the kernel
+DENSE_KERNEL_INSTANCES = [
+    conjugated_dense(make_circular_shift(m, 2), np.random.default_rng(m))
+    for m in (2, 3, 4, 5, 7, 8, 64)
+]
+
+
+def dense_kernel_operands(R):
+    rng = np.random.default_rng(R.dim)
+    return {
+        "vector": rng.standard_normal(R.dim),
+        "B0": np.empty((R.dim, 0)),
+        "B1": rng.standard_normal((R.dim, 1)),
+        "B7": rng.standard_normal((R.dim, 7)),
+    }
+
+
+@pytest.mark.parametrize("R", DENSE_KERNEL_INSTANCES, ids=IDS)
+def test_dense_kernel_matches_horner_and_power_sum(R):
+    for name, X in dense_kernel_operands(R).items():
+        powers = krylov_reference(R, X)
+        for which, coeffs in _kernel_coefficients(R.order).items():
+            out = R.apply_polynomial(coeffs, X)
+            assert out.shape == X.shape, (name, which)
+            msg = f"{name} {which}"
+            np.testing.assert_allclose(
+                out, horner_reference(R, coeffs, X), rtol=0, atol=1e-12, err_msg=msg
+            )
+            np.testing.assert_allclose(
+                out, np.tensordot(coeffs, powers, axes=1), rtol=0, atol=1e-12, err_msg=msg
+            )
+
+
+class _CountedMatrix(np.ndarray):
+    """An ndarray view that counts the products taken with it on the left."""
+
+    def __matmul__(self, other):
+        self.products.append(np.shape(other))
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("R", DENSE_KERNEL_INSTANCES, ids=IDS)
+def test_dense_kernel_takes_ceil_half_m_products(R):
+    R = make_dense(R._matrix, R.order)  # a private copy whose arrays are replaced below
+    products = {}
+    for slot in ("_matrix", "_square"):
+        counted = getattr(R, slot).view(_CountedMatrix)
+        counted.products = products[slot] = []
+        setattr(R, slot, counted)
+    m = R.order
+    for X in (np.ones(R.dim), np.ones((R.dim, 7))):
+        for coeffs in _kernel_coefficients(m).values():
+            products["_matrix"].clear()
+            products["_square"].clear()
+            R.apply_polynomial(coeffs, X)
+            # one product with A for u = A x, then Horner over the pairs in A^2
+            assert len(products["_matrix"]) == 1
+            assert len(products["_square"]) == (m + 1) // 2 - 1
+            assert {shape for got in products.values() for shape in got} == {X.shape}
+
+
+def test_bare_constructor_squares_a_dense_matrix():
+    R = DENSE_KERNEL_INSTANCES[2]
+    bare = FiniteOrderIsometry("dense", R.order, R.dim, matrix=R._matrix)
+    np.testing.assert_array_equal(bare._square, R._matrix @ R._matrix)
+    np.testing.assert_array_equal(bare._square, R._square)  # make_dense keeps the same product
+    assert bare.same_as(R)
+    x = np.arange(R.dim, dtype=float)
+    coeffs = _kernel_coefficients(R.order)["random"]
+    np.testing.assert_array_equal(bare.apply_polynomial(coeffs, x), R.apply_polynomial(coeffs, x))
+    assert make_rotator(3)._square is None and make_circular_shift(3)._square is None
+
+
+def test_oracle_and_apply_do_not_read_the_square():
+    R = DENSE_KERNEL_INSTANCES[3]
+    expected = materialize(R)
+    corrupted = make_dense(expected, R.order)
+    corrupted._square = np.full_like(corrupted._square, np.nan)
+    x = np.arange(R.dim, dtype=float)
+    np.testing.assert_array_equal(materialize(corrupted), expected)
+    np.testing.assert_array_equal(corrupted.apply(x), expected @ x)
+    assert compare(corrupted, expected, tol=0.0).passed
+    assert corrupted.same_as(R) and R.same_as(corrupted)
+    # the polynomial kernel does read it: the corruption shows there
+    assert np.isnan(corrupted.apply_polynomial(np.ones(R.order), x)).all()
 
 
 def test_apply_polynomial_rejects_bad_coefficients():

@@ -83,6 +83,51 @@ def test_load_matrix_rejects_non_finite(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_load_vector_rejects_non_finite_naming_path(tmp_path, suffix):
+    path = tmp_path / f"inf{suffix}"
+    path.write_text("[1.0, -1e999]" if suffix == ".json" else "1.0,inf\n")
+    with pytest.raises(ParameterError, match="finite") as info:
+        load_vector(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_matrix, '[[1.0, "2"], [3.0, 4.0]]'),
+        (load_matrix, "[[1.0, null], [3.0, 4.0]]"),
+        (load_vector, '[1.0, "2"]'),
+        (load_vector, "[1.0, {}]"),
+    ],
+)
+def test_load_refuses_non_numeric_json_naming_path(tmp_path, load, text):
+    path = tmp_path / "words.json"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match="real numbers") as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "load, text", [(load_matrix, "[1.0, 2.0]"), (load_vector, "3.5"), (load_vector, "[[[1.0]]]")]
+)
+def test_load_rejects_wrong_shape_naming_path(tmp_path, load, text):
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match="shape") as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_converts_integers_to_float(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text("[[1, 0], [0, 1]]")
+    loaded = load_matrix(path)
+    assert loaded.dtype == np.float64
+    np.testing.assert_array_equal(loaded, np.eye(2))
+
+
 def test_load_vector_rejects_matrix_shape(tmp_path):
     path = tmp_path / "mat.json"
     path.write_text("[[1.0, 2.0], [3.0, 4.0]]")
