@@ -15,10 +15,11 @@ cyclic convolution along the block axis, an m x m circulant product in
 O(m nB) for m <= SHIFT_CIRCULANT_MAX_ORDER and an FFT in O(nB log m) above
 it; a dense matrix A splits the sum into even and odd powers,
 sum_j (A^2)^j (c_{2j} x + c_{2j+1} A x), and takes ceil(m/2) products, one with
-A and the rest by Horner in the square A^2 that make_dense keeps from its
-order certificate: O(m n^2 B / 2), GEMMs for a block.  R.apply keeps its own
-per-kind code and never reads the square; the adjoint and the powers R^k are
-the polynomial kernel with a unit coefficient vector, at its cost.
+A and the rest by Horner in the square A^2 that the isometry stores (and
+make_dense's order certificate reuses): O(m n^2 B / 2), GEMMs for a block.
+R.apply keeps its own per-kind code and never reads the square; the adjoint
+and the powers R^k are the polynomial kernel with a unit coefficient vector,
+at its cost.
 
 Each kind also states its spectrum, a multiplicity per m-th root of unity, and
 an orthonormal basis of Fix R: in closed form for a rotator and a shift, and
@@ -154,18 +155,15 @@ class FiniteOrderIsometry:
         "kind", "order", "dim", "_cos", "_sin", "_block_dim", "_matrix", "_square", "_spectrum"
     )
 
-    def __init__(self, kind, order, dim, *, cos_sin=None, block_dim=None, matrix=None, square=None):
+    def __init__(self, kind, order, dim, *, cos_sin=None, block_dim=None, matrix=None):
         self.kind = kind
         self.order = int(order)
         self.dim = int(dim)
         self._cos, self._sin = cos_sin if cos_sin is not None else (None, None)
         self._block_dim = block_dim
         self._matrix = matrix
-        # dense only: A @ A for the polynomial kernel, one more n x n array; computed
-        # here unless make_dense passes the one its order certificate made
-        if matrix is not None and square is None:
-            square = matrix @ matrix
-        self._square = square
+        # dense only: A @ A for the polynomial kernel, one more n x n array
+        self._square = matrix @ matrix if matrix is not None else None
         self._spectrum = None  # dense only: (multiplicities, Fix basis), made on first use
 
     def __repr__(self) -> str:
@@ -359,8 +357,8 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
 
     Accepts iff max|A^T A - I| <= tol and max|A^m - I| <= tol; the raised
     ValidationError names whichever bound failed.  A^m is taken through the
-    square S = A @ A, as S^(m//2), times A for odd m, in as many products as
-    A^m by repeated squaring; S is kept for the polynomial kernel.
+    square S = A @ A that the isometry keeps for its polynomial kernel, as
+    S^(m//2), times A for odd m, in as many products as A^m by repeated squaring.
     """
     A = _check_array(matrix, "matrix", ("n", "n"))
     m = _check_int(m, "order", 2)
@@ -372,8 +370,8 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
         raise ValidationError(
             f"not an isometry: max|A^T A - I| = {isometry_dev:.3e} exceeds tol = {tol:.1e}"
         )
-    square = A @ A
-    power = np.linalg.matrix_power(square, m // 2)
+    R = FiniteOrderIsometry(DENSE, m, n, matrix=A.copy())
+    power = np.linalg.matrix_power(R._square, m // 2)
     if m % 2:
         power = power @ A
     order_dev = float(np.max(np.abs(power - eye)))
@@ -381,4 +379,4 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
         raise ValidationError(
             f"order check failed: max|A^{m} - I| = {order_dev:.3e} exceeds tol = {tol:.1e}"
         )
-    return FiniteOrderIsometry(DENSE, m, n, matrix=A.copy(), square=square)
+    return R

@@ -102,14 +102,22 @@ def horner_reference(R, coeffs, x):
 
 
 def krylov_reference(R, x):
-    # rows M^k x, k < m, with M the materialized matrix of R, by repeated matvecs;
-    # c @ rows is the materialized power sum sum_k c_k M^k x
+    # rows M^k x, k < m, with M the materialized matrix of R, by repeated products;
+    # tensordot(c, rows, 1) is the materialized power sum sum_k c_k M^k x
     mat = materialize(R)
-    rows = [x]
-    for _ in range(R.order - 1):
-        rows.append(mat @ rows[-1])
-    return np.array(rows)
+    rows = np.empty((R.order,) + x.shape)
+    rows[0] = x
+    for k in range(1, R.order):
+        rows[k] = mat @ rows[k - 1]
+    return rows
 
+
+#: dense conjugates of shifts with two-dimensional blocks: every m-th root of unity
+#: is an eigenvalue; odd m leave the top coefficient c_{m-1} unpaired in the kernel
+DENSE_KERNEL_INSTANCES = [
+    conjugated_dense(make_circular_shift(m, 2), np.random.default_rng(m))
+    for m in (2, 3, 4, 5, 7, 8, 64)
+]
 
 KERNEL_INSTANCES = (
     [make_rotator(m, blocks=3) for m in (2, 3, 8, 64, 1024)]
@@ -119,6 +127,7 @@ KERNEL_INSTANCES = (
         for block_dim in (1, 2)
     ]
     + [max((R for R in INSTANCES if R.kind == "dense"), key=lambda R: (R.order, R.dim))]
+    + DENSE_KERNEL_INSTANCES
 )
 
 
@@ -136,47 +145,25 @@ def _kernel_coefficients(m):
     }
 
 
+#: the operands, as column selections of one (n, 7) draw: a vector and (n, B) blocks
+KERNEL_OPERANDS = {"vector": 0, "B0": slice(0), "B1": slice(1), "B7": slice(7)}
+
+
 @pytest.mark.parametrize("R", KERNEL_INSTANCES, ids=IDS)
 def test_kernel_matches_horner_and_power_sum(R):
-    x = np.random.default_rng(R.dim).standard_normal(R.dim)
-    powers = krylov_reference(R, x)
+    draw = np.random.default_rng(R.dim).standard_normal((R.dim, 7))
+    powers = krylov_reference(R, draw)
     for which, coeffs in _kernel_coefficients(R.order).items():
-        out = PolynomialOperator(R, coeffs).apply(x)
-        np.testing.assert_allclose(out, horner_reference(R, coeffs, x), atol=1e-12, err_msg=which)
-        np.testing.assert_allclose(out, coeffs @ powers, atol=1e-12, err_msg=which)
-
-
-#: dense conjugates of shifts with two-dimensional blocks: every m-th root of unity
-#: is an eigenvalue; odd m leave the top coefficient c_{m-1} unpaired in the kernel
-DENSE_KERNEL_INSTANCES = [
-    conjugated_dense(make_circular_shift(m, 2), np.random.default_rng(m))
-    for m in (2, 3, 4, 5, 7, 8, 64)
-]
-
-
-def dense_kernel_operands(R):
-    rng = np.random.default_rng(R.dim)
-    return {
-        "vector": rng.standard_normal(R.dim),
-        "B0": np.empty((R.dim, 0)),
-        "B1": rng.standard_normal((R.dim, 1)),
-        "B7": rng.standard_normal((R.dim, 7)),
-    }
-
-
-@pytest.mark.parametrize("R", DENSE_KERNEL_INSTANCES, ids=IDS)
-def test_dense_kernel_matches_horner_and_power_sum(R):
-    for name, X in dense_kernel_operands(R).items():
-        powers = krylov_reference(R, X)
-        for which, coeffs in _kernel_coefficients(R.order).items():
-            out = R.apply_polynomial(coeffs, X)
-            assert out.shape == X.shape, (name, which)
+        horner = horner_reference(R, coeffs, draw)
+        power_sum = np.tensordot(coeffs, powers, axes=1)
+        for name, columns in KERNEL_OPERANDS.items():
+            X = draw[:, columns]
+            out = PolynomialOperator(R, coeffs).apply(X)
             msg = f"{name} {which}"
+            assert out.shape == X.shape, msg
+            np.testing.assert_allclose(out, horner[:, columns], rtol=0, atol=1e-12, err_msg=msg)
             np.testing.assert_allclose(
-                out, horner_reference(R, coeffs, X), rtol=0, atol=1e-12, err_msg=msg
-            )
-            np.testing.assert_allclose(
-                out, np.tensordot(coeffs, powers, axes=1), rtol=0, atol=1e-12, err_msg=msg
+                out, power_sum[:, columns], rtol=0, atol=1e-12, err_msg=msg
             )
 
 
