@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -22,14 +21,7 @@ import numpy as np
 from .dense_oracle import materialize
 from .displacement_calculus import projector_fix, pseudo_inverse, set_valued_inverse, skew_part
 from .errors import DisplacementKitError, ParameterError
-from .io_utils import (
-    affine_subspace_to_dict,
-    load_matrix,
-    load_vector,
-    matrix_rows,
-    polynomial_to_dict,
-    vector_entries,
-)
+from .io_utils import load_matrix, load_vector
 from .isometry_core import make_circular_shift, make_dense, make_rotator
 from .iteration_lab import proximal_point
 from .verification import OPERATOR_BUILDERS, reproduce_worked_examples, run_verification
@@ -125,12 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run the full invariant battery against the dense oracle"
     )
-    p_verify.add_argument(
-        "--seed",
-        type=int,
-        default=int(os.environ.get("DISPLACEMENT_KIT_SEED", "0")),
-        help="RNG seed (default: env DISPLACEMENT_KIT_SEED or 0)",
-    )
+    p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_verify.add_argument("--max-m", type=int, default=8, help="largest order in the grid")
     p_verify.add_argument("--max-dim", type=int, default=64, help="largest dimension in the grid")
 
@@ -218,11 +205,12 @@ def _operator_payload(args, op, name: str, gamma=None) -> dict:
     payload = {"operator": name}
     if gamma is not None:
         payload["gamma"] = float(gamma)
-    payload.update(polynomial_to_dict(op))
+    payload["m"] = op.order
+    payload["coefficients"] = op.coefficients.tolist()
     if getattr(args, "materialize", False):
-        payload["matrix"] = matrix_rows(materialize(op))
+        payload["matrix"] = materialize(op).tolist()
     if getattr(args, "apply", None):
-        payload["result"] = vector_entries(op.apply(load_vector(args.apply)))
+        payload["result"] = op.apply(load_vector(args.apply)).tolist()
     return payload
 
 
@@ -234,10 +222,10 @@ def _dispatch(args) -> int:
                 "kind": R.kind,
                 "m": R.order,
                 "dim": R.dim,
-                "isometry": matrix_rows(materialize(R)),
-                "fixed_projector": matrix_rows(materialize(projector_fix(R))),
-                "skew_part": matrix_rows(materialize(skew_part(R))),
-                "pseudo_inverse": matrix_rows(materialize(pseudo_inverse(R))),
+                "isometry": materialize(R).tolist(),
+                "fixed_projector": materialize(projector_fix(R)).tolist(),
+                "skew_part": materialize(skew_part(R)).tolist(),
+                "pseudo_inverse": materialize(pseudo_inverse(R)).tolist(),
             },
             args.format,
         )
@@ -262,7 +250,7 @@ def _dispatch(args) -> int:
         if solution is None:
             _emit({"message": "not in range of M"}, args.format)
         else:
-            _emit(affine_subspace_to_dict(solution), args.format)
+            _emit({"point": solution.point.tolist(), "basis": solution.basis.tolist()}, args.format)
         return 0
 
     if args.command == "iterate":
@@ -284,19 +272,7 @@ def _dispatch(args) -> int:
 
     if args.command == "reproduce-paper":
         rows = reproduce_worked_examples(args.gamma)
-        payload_rows = [
-            {
-                "kind": r["kind"],
-                "m": r["m"],
-                "operator": r["operator"],
-                "gamma": r["gamma"],
-                "max_abs_deviation": r["max_abs_deviation"],
-                "tolerance": r["tolerance"],
-                "pass": r["pass"],
-                "matrix": matrix_rows(r["matrix"]),
-            }
-            for r in rows
-        ]
+        payload_rows = [dict(r, matrix=r["matrix"].tolist()) for r in rows]
         all_pass = all(r["pass"] for r in rows)
         _emit({"cases": payload_rows, "all_pass": all_pass}, args.format)
         return 0 if all_pass else 1

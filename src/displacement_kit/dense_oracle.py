@@ -6,11 +6,11 @@ closed-form path; agreement between the two is the library's core evidence.
 The only code it shares with that path is input validation (the
 ``_check_*`` helpers of isometry_core), which does no arithmetic.
 
-Operators are applied to blocks: :func:`materialize` is one call on the
-identity block and :func:`compare` one call on the block of its samples, for
-an operator object (through its ``apply``, never the polynomial kernel) and
-for a matrix (one GEMM).  Only a bare callable is still called column by
-column.  The oracle arithmetic itself (LU, SVD) is unchanged.
+An operator is a matrix or an object with ``dim`` and an ``apply`` that
+takes an (n, B) block.  It is applied to blocks: :func:`materialize` is one
+call on the identity block and :func:`compare` one call on the block of its
+samples, through ``apply`` (never the polynomial kernel) or one GEMM.  The
+oracle arithmetic itself (LU, SVD) is unchanged.
 """
 
 from __future__ import annotations
@@ -71,43 +71,28 @@ class ComparisonReport:
         }
 
 
-def _as_apply(op, dim=None):
-    """Normalize an operator-shaped object to (block_function, dimension).
+def _as_apply(op):
+    """Normalize an operator to (block_function, dimension).
 
     The function maps an (n, B) block to the block of its column images:
-    ``matrix @ X`` for an ndarray, ``op.apply`` for an object with ``apply``
-    and ``dim`` (which must take a block, as the package's operators do), and
-    a loop over the columns for a bare callable, which only sees 1-d vectors.
+    ``matrix @ X`` for an ndarray and ``op.apply`` for an object with ``apply``
+    and ``dim``, which must take a block, as the package's operators do.
     """
-    if dim is not None:
-        dim = _check_int(dim, "dim", 1)
     if isinstance(op, np.ndarray):
         matrix = _check_array(op, "operator matrix", (None, None))
-        inferred = matrix.shape[1]
-        func = lambda X: matrix @ X
-    elif hasattr(op, "apply") and hasattr(op, "dim"):
-        func, inferred = op.apply, op.dim
-    elif callable(op):
-        if dim is None:
-            raise ParameterError("dim is required for a bare callable operator")
-        inferred = dim
-        func = lambda X: np.column_stack(
-            [np.asarray(op(x), dtype=float) for x in np.ascontiguousarray(X.T)]
-        )
-    else:
-        raise ParameterError(f"cannot interpret {type(op).__name__} as a linear operator")
-    if dim is not None and dim != int(inferred):
-        raise ParameterError(f"dimension mismatch: requested {dim}, operator has {inferred}")
-    return func, int(inferred)
+        return (lambda X: matrix @ X), matrix.shape[1]
+    if hasattr(op, "apply") and hasattr(op, "dim"):
+        return op.apply, int(op.dim)
+    raise ParameterError(f"cannot interpret {type(op).__name__} as a linear operator")
 
 
-def materialize(op, dim: int | None = None) -> np.ndarray:
-    """Dense matrix of any operator: its image of the identity block, column j = op(e_j).
+def materialize(op) -> np.ndarray:
+    """Dense matrix of an operator: its image of the identity block, column j = op(e_j).
 
     Row-major whatever layout the operator returns (a rotator's block comes
     back transposed), so the oracle factorizes the same arrays as before.
     """
-    func, n = _as_apply(op, dim)
+    func, n = _as_apply(op)
     return np.ascontiguousarray(func(np.eye(n)), dtype=float)
 
 
@@ -170,7 +155,6 @@ def oracle_projector_fix(A) -> np.ndarray:
 def compare(
     op_a,
     op_b,
-    dim: int | None = None,
     n_samples: int = 32,
     tol: float = 1e-10,
     seed: int = 0,
@@ -182,8 +166,8 @@ def compare(
     one call per operator.  The report records the max/mean of the per-sample
     max-abs deviations, the seed, and whether the max stayed within ``tol``.
     """
-    func_a, n = _as_apply(op_a, dim)
-    func_b, n_b = _as_apply(op_b, dim)
+    func_a, n = _as_apply(op_a)
+    func_b, n_b = _as_apply(op_b)
     if n != n_b:
         raise ParameterError(f"operators disagree on dimension: {n} vs {n_b}")
     n_samples = _check_int(n_samples, "n_samples", 1)

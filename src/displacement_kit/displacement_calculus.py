@@ -19,6 +19,7 @@ from .isometry_core import (
     _check_array,
     _check_real,
     _is_finite_real,
+    _real_array,
     as_vector,
 )
 
@@ -78,8 +79,6 @@ class PolynomialOperator:
         symbol = self.order * np.fft.ifft(self.coefficients)
         return float(np.max(np.abs(symbol[self.operator.eigen_multiplicities() > 0])))
 
-    __call__ = apply
-
     def _check_same_operator(self, other: "PolynomialOperator") -> None:
         if not isinstance(other, PolynomialOperator):
             raise ParameterError(f"expected a PolynomialOperator, got {type(other).__name__}")
@@ -134,9 +133,10 @@ class AffineSubspace:
         object.__setattr__(self, "point", _check_array(self.point, "point", (None,)))
         n = self.point.shape[0]
         try:
-            B = np.asarray(self.basis, dtype=float)
+            B = np.asarray(self.basis)
         except ValueError:  # ragged rows
             raise ParameterError("basis vectors must match the point's dimension") from None
+        B = _real_array(B, "basis")  # strings, objects and complex numbers are refused
         if B.shape == (0,):
             B = B.reshape(0, n)
         if B.ndim != 2 or B.shape[1] != n:

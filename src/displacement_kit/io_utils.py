@@ -1,5 +1,6 @@
 """File formats: matrices and vectors as JSON arrays-of-rows or CSV (row-major,
-'.' decimal separator), plus dict serializers for the value types."""
+'.' decimal separator).  A JSON file holds ``ndarray.tolist()``, the form in
+which the CLI prints its arrays too."""
 
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ def save_matrix(path, matrix) -> None:
     p = str(path)
     arr = np.asarray(matrix, dtype=float)
     if p.endswith(".json"):
-        Path(p).write_text(json.dumps(matrix_rows(arr)))
+        Path(p).write_text(json.dumps(arr.tolist()))
     else:
         np.savetxt(p, np.atleast_2d(arr), delimiter=",", fmt="%.17g")
 
@@ -88,27 +89,7 @@ def save_vector(path, vector) -> None:
     p = str(path)
     arr = np.asarray(vector, dtype=float)
     if p.endswith(".json"):
-        Path(p).write_text(json.dumps(vector_entries(arr)))
+        Path(p).write_text(json.dumps(arr.tolist()))
     else:
         np.savetxt(p, arr.reshape(1, -1), delimiter=",", fmt="%.17g")
 
-
-def matrix_rows(matrix) -> list:
-    return [[float(v) for v in row] for row in np.asarray(matrix, dtype=float)]
-
-
-def vector_entries(vector) -> list:
-    return [float(v) for v in np.asarray(vector, dtype=float)]
-
-
-def polynomial_to_dict(poly) -> dict:
-    """PolynomialOperator wire schema: {"m": ..., "coefficients": [...]}."""
-    return {"m": poly.order, "coefficients": vector_entries(poly.coefficients)}
-
-
-def affine_subspace_to_dict(subspace) -> dict:
-    """AffineSubspace wire schema: {"point": [...], "basis": [[...], ...]}."""
-    return {
-        "point": vector_entries(subspace.point),
-        "basis": matrix_rows(subspace.basis),
-    }

@@ -156,9 +156,27 @@ class FiniteOrderIsometry:
     )
 
     def __init__(self, kind, order, dim, *, cos_sin=None, block_dim=None, matrix=None):
+        # the storage must fit the kind and the dimension; nothing is certified here
+        storage = {
+            ROTATOR: ("cos_sin", cos_sin),
+            CIRCULAR_SHIFT: ("block_dim", block_dim),
+            DENSE: ("matrix", matrix),
+        }
+        if kind not in storage:
+            raise ParameterError(f"unknown isometry kind {kind!r}, expected one of {list(storage)}")
+        name, value = storage[kind]
+        if value is None:
+            raise ParameterError(f"a {kind} isometry needs {name}")
         self.kind = kind
-        self.order = int(order)
-        self.dim = int(dim)
+        self.order = _check_int(order, "order", 2)
+        self.dim = _check_int(dim, "dim", 1)
+        shape = getattr(matrix, "shape", None)
+        if kind == ROTATOR and self.dim % 2:
+            raise ParameterError(f"a rotator's dim must be even, got {dim}")
+        if kind == CIRCULAR_SHIFT and self.dim != self.order * block_dim:
+            raise ParameterError(f"dim must be order * block_dim = {order * block_dim}, got {dim}")
+        if kind == DENSE and shape != (self.dim, self.dim):
+            raise ParameterError(f"dim {dim} needs a ({dim}, {dim}) matrix, got shape {shape}")
         self._cos, self._sin = cos_sin if cos_sin is not None else (None, None)
         self._block_dim = block_dim
         self._matrix = matrix
@@ -206,8 +224,6 @@ class FiniteOrderIsometry:
         if self.kind == CIRCULAR_SHIFT:
             return np.roll(self._blocks(v), 1, axis=0).reshape(v.shape)
         return self._matrix @ v
-
-    __call__ = apply
 
     def adjoint_apply(self, x) -> np.ndarray:
         """Return R* x, which for an order-m isometry equals R^{m-1} x."""

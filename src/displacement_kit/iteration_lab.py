@@ -25,9 +25,9 @@ class Trajectory:
 
     def to_dict(self) -> dict:
         return {
-            "points": [list(map(float, p)) for p in self.points],
+            "points": [p.tolist() for p in self.points],
             "residuals": [float(r) for r in self.residuals],
-            "limit_estimate": list(map(float, self.limit_estimate)),
+            "limit_estimate": self.limit_estimate.tolist(),
             "converged": self.converged,
             "iterations_used": self.iterations_used,
         }

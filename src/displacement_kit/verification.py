@@ -150,10 +150,10 @@ def reproduce_worked_examples(gamma: float = 1.0) -> list:
                 "m": case["m"],
                 "operator": case["operator"],
                 "gamma": float(gamma),
-                "matrix": ours,
                 "max_abs_deviation": dev,
                 "tolerance": WORKED_EXAMPLE_TOL,
                 "pass": dev <= WORKED_EXAMPLE_TOL,
+                "matrix": ours,
             }
         )
     return results

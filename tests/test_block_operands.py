@@ -145,13 +145,9 @@ def test_materialize_equals_column_loop(op):
 def test_materialize_matrix_and_bare_callable():
     A = np.random.default_rng(2).standard_normal((3, 4))
     assert np.array_equal(materialize(A), A)
-    R = make_rotator(3, 2)
-
-    def one_vector_only(v):
-        assert v.ndim == 1
-        return R.apply(v)
-
-    assert np.array_equal(materialize(one_vector_only, R.dim), materialize(R))
+    # the oracle takes a matrix or an object with apply and dim, nothing else
+    with pytest.raises(ParameterError, match="cannot interpret method as a linear operator"):
+        materialize(make_rotator(3, 2).apply)
 
 
 def test_compare_keeps_samples_and_seed():

@@ -75,7 +75,7 @@ def test_yosida_inverse_apply_to_file(capsys, tmp_path):
 def test_pinv_command(capsys):
     code, data, _ = run_json(capsys, "pinv", "--kind", "shift", "--m", "3")
     assert code == 0
-    np.testing.assert_allclose(data["coefficients"], [1 / 3, 0.0, -1 / 3])
+    assert data == {"operator": "pseudo_inverse", "m": 3, "coefficients": [1 / 3, 0.0, -1 / 3]}
 
 
 def test_show_emits_all_operators(capsys):
@@ -98,8 +98,9 @@ def test_solve_in_range(capsys, tmp_path):
     save_vector(rhs, [1.0, -1.0])
     code, data, _ = run_json(capsys, "solve", "--kind", "shift", "--m", "2", "--rhs", str(rhs))
     assert code == 0
+    assert list(data) == ["point", "basis"]
     np.testing.assert_allclose(data["point"], [0.5, -0.5], atol=1e-12)
-    assert len(data["basis"]) == 1
+    assert len(data["basis"]) == 1 and len(data["basis"][0]) == 2
 
 
 def test_iterate_json_and_csv(capsys, tmp_path):
@@ -285,11 +286,10 @@ def test_verify_small_grid_passes(capsys):
     assert all(r["pass"] for r in data["reports"])
 
 
-def test_verify_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("DISPLACEMENT_KIT_SEED", "123")
+def test_verify_seed_defaults_to_zero(capsys):
     code, data, _ = run_json(capsys, "verify", "--max-m", "2", "--max-dim", "4")
     assert code == 0
-    assert all(r["seed"] == 123 for r in data["reports"])
+    assert all(r["seed"] == 0 for r in data["reports"])
 
 
 def test_reproduce_paper_all_pass(capsys):
@@ -336,12 +336,14 @@ def test_deterministic_output_given_seed(capsys):
 
 
 def _json_commands(tmp_path):
-    # one invocation of every subcommand with JSON output, on small instances
+    # at least one invocation of every subcommand, on small instances
     vec3, vec2, mat = tmp_path / "v3.json", tmp_path / "v2.json", tmp_path / "m.json"
     save_vector(vec3, [1.0, -2.0, 0.5])
     save_vector(vec2, [1.0, -1.0])
     save_matrix(mat, materialize(make_circular_shift(3)))
     shift3 = ("--kind", "shift", "--m", "3")
+    vec4 = tmp_path / "v4.json"
+    save_vector(vec4, [0.3, -1.25, 2.0, 0.5])
     return {
         "show": ("show", "--kind", "dense-file", "--m", "3", "--matrix-path", str(mat)),
         "resolvent": (
@@ -354,20 +356,30 @@ def _json_commands(tmp_path):
         "iterate": ("iterate", *shift3, "--gamma", "0.1", "--x0", str(vec3)),
         "verify": ("verify", "--max-m", "2", "--max-dim", "4"),
         "reproduce-paper": ("reproduce-paper",),
+        "show-rotator": ("show", "--kind", "rotator", "--m", "5", "--blocks", "2"),
+        "solve-rotator": (
+            "solve", "--kind", "rotator", "--m", "4", "--blocks", "2", "--rhs", str(vec4)
+        ),
     }
 
 
-def test_json_output_is_byte_identical_to_dumps(capsys, tmp_path, monkeypatch):
+@pytest.fixture
+def payloads(monkeypatch):
+    """The payloads that ``cli._emit`` receives, which still prints them."""
     import displacement_kit.cli as cli
 
-    payloads = []
+    received = []
     emit = cli._emit
 
     def recording_emit(payload, fmt):
-        payloads.append(payload)
+        received.append(payload)
         emit(payload, fmt)
 
     monkeypatch.setattr(cli, "_emit", recording_emit)
+    return received
+
+
+def test_json_output_is_byte_identical_to_dumps(capsys, tmp_path, payloads):
     commands = _json_commands(tmp_path)
     assert {argv[0] for argv in commands.values()} == set(SUBCOMMAND_OPTIONS)
     for name, argv in commands.items():
@@ -376,3 +388,65 @@ def test_json_output_is_byte_identical_to_dumps(capsys, tmp_path, monkeypatch):
         assert code == 0, (name, err)
         assert len(payloads) == 1, name
         assert out == json.dumps(payloads[0], indent=2) + "\n", name
+
+
+SHOW_KEYS = ["kind", "m", "dim", "isometry", "fixed_projector", "skew_part", "pseudo_inverse"]
+#: the key paths of each payload in the order the CLI prints them; ``key[].field``
+#: stands for the field of every row of a list of dicts
+PAYLOAD_KEYS = {
+    "show": SHOW_KEYS,
+    "resolvent": ["operator", "gamma", "m", "coefficients", "matrix", "result"],
+    "yosida": ["operator", "gamma", "m", "coefficients"],
+    "pinv": ["operator", "m", "coefficients", "matrix"],
+    "solve": ["point", "basis"],
+    "solve-not-in-range": ["message"],
+    "iterate": ["points", "residuals", "limit_estimate", "converged", "iterations_used"],
+    "verify": [
+        "reports", "reports[].label", "reports[].max_abs_deviation",
+        "reports[].mean_abs_deviation", "reports[].samples", "reports[].tolerance",
+        "reports[].pass", "reports[].seed", "all_pass",
+    ],
+    "reproduce-paper": [
+        "cases", "cases[].kind", "cases[].m", "cases[].operator", "cases[].gamma",
+        "cases[].max_abs_deviation", "cases[].tolerance", "cases[].pass", "cases[].matrix",
+        "all_pass",
+    ],
+    "show-rotator": SHOW_KEYS,
+    "solve-rotator": ["point", "basis"],
+}
+
+
+def _plain(value) -> bool:
+    """True when ``value`` holds only dict, list, str, int, float and bool (no numpy scalar)."""
+    if isinstance(value, dict):
+        return all(type(key) is str and _plain(v) for key, v in value.items())
+    if isinstance(value, list):
+        return all(_plain(v) for v in value)
+    return type(value) in (str, int, float, bool)
+
+
+def _key_paths(payload: dict, prefix: str = "") -> list:
+    paths = []
+    for key, value in payload.items():
+        paths.append(prefix + key)
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            rows = {tuple(_key_paths(row, f"{prefix}{key}[].")) for row in value}
+            assert len(rows) == 1, f"the rows of {key} list different keys"
+            paths.extend(rows.pop())
+    return paths
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_every_payload_is_plain_json_in_pinned_key_order(capsys, tmp_path, payloads, fmt):
+    commands = _json_commands(tmp_path)
+    assert set(commands) == set(PAYLOAD_KEYS)
+    for name, argv in commands.items():
+        payloads.clear()
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and out, (name, err)
+        if (argv[0], fmt) == ("iterate", "csv"):
+            assert payloads == []  # the residuals, one per line, without a payload
+            continue
+        assert len(payloads) == 1, name
+        assert _plain(payloads[0]), name
+        assert _key_paths(payloads[0]) == PAYLOAD_KEYS[name], name

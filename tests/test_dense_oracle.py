@@ -46,11 +46,6 @@ def test_materialize_projector_shift_two():
     )
 
 
-def test_materialize_rejects_mismatched_dim():
-    with pytest.raises(ParameterError):
-        materialize(make_rotator(4), dim=3)
-
-
 def test_materialize_requires_dim_for_callable():
     with pytest.raises(ParameterError):
         materialize(lambda x: x)

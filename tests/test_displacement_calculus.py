@@ -582,6 +582,17 @@ def test_affine_subspace_basis_is_one_array():
             AffineSubspace(point=np.zeros(3), basis=bad)
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [[["0", "1"]], [[None, 1.0]], [[0j, 1.0]], np.array([[0.0, 1.0]], dtype=object)],
+    ids=["strings", "None", "complex", "objects"],
+)
+def test_affine_subspace_refuses_a_basis_that_is_not_real(basis):
+    # converted like the point, not cast: ['0', '1'] used to become [0., 1.]
+    with pytest.raises(ParameterError, match="basis must be an array of real numbers"):
+        AffineSubspace([1.0, 0.0], basis)
+
+
 def test_set_valued_inverse_basis_is_the_fixed_space_basis():
     # the cached read-only (d, n) array of a dense R, not a copy of its rows
     R = make_dense(materialize(make_circular_shift(3, block_dim=2)), 3)

@@ -1,20 +1,12 @@
-"""Matrix/vector file formats and wire-schema serializers."""
+"""Matrix/vector file formats."""
 
 import json
 
 import numpy as np
 import pytest
 
-from displacement_kit import ParameterError, make_circular_shift, pseudo_inverse, set_valued_inverse
-from displacement_kit.io_utils import (
-    affine_subspace_to_dict,
-    load_matrix,
-    load_vector,
-    matrix_rows,
-    polynomial_to_dict,
-    save_matrix,
-    save_vector,
-)
+from displacement_kit import ParameterError
+from displacement_kit.io_utils import load_matrix, load_vector, save_matrix, save_vector
 
 
 def test_matrix_json_round_trip(tmp_path):
@@ -138,23 +130,3 @@ def test_load_vector_rejects_matrix_shape(tmp_path):
     path.write_text("[[1.0, 2.0], [3.0, 4.0]]")
     with pytest.raises(ParameterError):
         load_vector(path)
-
-
-def test_polynomial_wire_schema():
-    poly = pseudo_inverse(make_circular_shift(3))
-    data = polynomial_to_dict(poly)
-    assert data == {"m": 3, "coefficients": [1 / 3, 0.0, -1 / 3]}
-
-
-def test_affine_subspace_wire_schema():
-    solution = set_valued_inverse(make_circular_shift(2), [1.0, -1.0])
-    data = affine_subspace_to_dict(solution)
-    assert set(data) == {"point", "basis"}
-    np.testing.assert_allclose(data["point"], [0.5, -0.5])
-    assert len(data["basis"]) == 1 and len(data["basis"][0]) == 2
-
-
-def test_matrix_rows_is_plain_floats():
-    rows = matrix_rows(np.eye(2))
-    assert rows == [[1.0, 0.0], [0.0, 1.0]]
-    assert all(isinstance(v, float) for row in rows for v in row)

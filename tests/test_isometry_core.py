@@ -10,7 +10,6 @@ from displacement_kit import (
     ParameterError,
     PolynomialOperator,
     ValidationError,
-    compare,
     ergodic_mean,
     make_circular_shift,
     make_dense,
@@ -233,8 +232,6 @@ BAD_ARGUMENTS = {  # (call, name in the message); bool is no integer and no real
         lambda: AffineSubspace(point=[0.0, 0.0], basis=[[1.0, 0.0]]).element([np.nan]),
         "weights",
     ),
-    "compare dim=2.5": (lambda: compare(SHIFT3, SHIFT3, dim=2.5), "dim"),
-    "materialize dim=True": (lambda: materialize(lambda v: v, True), "dim"),
     "dense ragged rows": (lambda: make_dense([[1.0, 0.0], [0.0]], 2), "matrix"),
     "dense with inf": (lambda: make_dense([[np.inf, 0.0], [0.0, 1.0]], 2), "matrix"),
     "dense complex": (lambda: make_dense(1j * np.eye(2), 2), "matrix"),
@@ -322,7 +319,7 @@ def test_materialized_powers_match(R):
     mat = materialize(R)
     acc = np.eye(R.dim)
     for k in range(R.order):
-        powered = materialize(lambda v, k=k: R.apply_power(k, v), R.dim)
+        powered = R.apply_power(k, np.eye(R.dim))
         np.testing.assert_allclose(powered, acc, atol=1e-12)
         acc = mat @ acc
 
@@ -400,6 +397,31 @@ def test_dense_multiplicities_reject_an_odd_cluster():
     R = FiniteOrderIsometry("dense", 3, 2, matrix=np.diag([-0.5, 1.0]))
     with pytest.raises(NumericError, match=r"2cos\(2\*pi\*1/3\) of A \+ A\^T has odd size"):
         R.fixed_space_basis()
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, match",
+    [
+        (("bogus", 3, 3), {}, "unknown isometry kind 'bogus'"),
+        (("rotator", 3, 4), {}, "rotator isometry needs cos_sin"),
+        (("circular_shift", 3, 6), {}, "circular_shift isometry needs block_dim"),
+        (("dense", 3, 2), {}, "dense isometry needs matrix"),
+        (("rotator", 3, 3), {"cos_sin": (-0.5, 0.75**0.5)}, "dim must be even, got 3"),
+        (("circular_shift", 3, 5), {"block_dim": 2}, r"order \* block_dim = 6, got 5"),
+        (("dense", 3, 2), {"matrix": np.eye(3)}, r"a \(2, 2\) matrix, got shape \(3, 3\)"),
+        (("dense", 2, 2), {"matrix": [[1.0, 0.0], [0.0, 1.0]]}, "got shape None"),
+        (("rotator", 1, 2), {"cos_sin": (1.0, 0.0)}, "order must be an integer >= 2, got 1"),
+        (("circular_shift", 3, 0), {"block_dim": 0}, "dim must be an integer >= 1, got 0"),
+    ],
+    ids=[
+        "kind", "no cos_sin", "no block_dim", "no matrix", "odd rotator", "shift dim",
+        "dense shape", "dense list", "order 1", "dim 0",
+    ],
+)
+def test_bare_constructor_refuses_storage_that_does_not_fit(args, kwargs, match):
+    # these used to construct and fail later, on apply or on the spectrum, with numpy errors
+    with pytest.raises(ParameterError, match=match):
+        FiniteOrderIsometry(*args, **kwargs)
 
 
 def test_dense_spectrum_supports_orders_up_to_44428():
