@@ -1,4 +1,4 @@
-"""Matrix/vector file formats."""
+"""Matrix/vector file formats and the wire schemas the CLI prints in them."""
 
 import json
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from displacement_kit import ParameterError
+from displacement_kit.cli import main
 from displacement_kit.io_utils import load_matrix, load_vector, save_matrix, save_vector
 
 
@@ -130,3 +131,32 @@ def test_load_vector_rejects_matrix_shape(tmp_path):
     path.write_text("[[1.0, 2.0], [3.0, 4.0]]")
     with pytest.raises(ParameterError):
         load_vector(path)
+
+
+def _cli_json(capsys, *argv):
+    assert main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_polynomial_wire_schema(capsys, tmp_path):
+    data = _cli_json(capsys, "pinv", "--kind", "shift", "--m", "3")
+    assert {k: data[k] for k in ("m", "coefficients")} == {"m": 3, "coefficients": [1 / 3, 0.0, -1 / 3]}
+    # the coefficient list is the JSON vector format the loaders read
+    path = tmp_path / "coefficients.json"
+    path.write_text(json.dumps(data["coefficients"]))
+    np.testing.assert_array_equal(load_vector(path), [1 / 3, 0.0, -1 / 3])
+
+
+def test_affine_subspace_wire_schema(capsys, tmp_path):
+    rhs = tmp_path / "rhs.json"
+    save_vector(rhs, [1.0, -1.0])
+    data = _cli_json(capsys, "solve", "--kind", "shift", "--m", "2", "--rhs", str(rhs))
+    assert set(data) == {"point", "basis"}
+    np.testing.assert_allclose(data["point"], [0.5, -0.5])
+    assert len(data["basis"]) == 1 and len(data["basis"][0]) == 2
+    # point and basis are the JSON vector and matrix formats the loaders read
+    point, basis = tmp_path / "point.json", tmp_path / "basis.json"
+    point.write_text(json.dumps(data["point"]))
+    basis.write_text(json.dumps(data["basis"]))
+    np.testing.assert_array_equal(load_vector(point), data["point"])
+    np.testing.assert_array_equal(load_matrix(basis), data["basis"])
