@@ -189,11 +189,56 @@ def _emit_pretty(payload: dict) -> None:
             print(f"{key}: {_fmt(value)}")
 
 
+#: json's C encoder, which it uses only when ``indent`` is None
+_encode = json.JSONEncoder().encode
+#: the types of the JSON scalars: no JSON text of them holds ", ", so a list of
+#: them alone is encoded in one call and laid out by replacing its separators
+_SCALARS = frozenset((float, int, bool, type(None)))
+#: items per chunk of a list of scalars, so that a long vector is not one string
+_SLICE = 1024
+
+
+def _json_chunks(value, pad: str = "\n"):
+    """Yield the text of ``json.dumps(value, indent=2)`` in pieces of at most one
+    list of scalars, or _SLICE items of a longer one.
+
+    ``pad`` is the newline and indentation of the line that holds ``value``.
+    Dicts, and lists holding anything but scalars, are taken apart here as
+    json's pure-Python indenting encoder does; a list of scalars goes to the C
+    encoder whole, in place of that encoder's one chunk per item.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        sep = "{"
+        for key, item in value.items():
+            if not isinstance(key, str):  # the CLI's keys are; json would convert others
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield sep + inner + _encode(key) + ": "
+            yield from _json_chunks(item, inner)
+            sep = ","
+        yield pad + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) <= _SCALARS:
+            for start in range(0, len(value), _SLICE):
+                text = _encode(value[start : start + _SLICE])
+                yield ("," if start else "[") + inner + text[1:-1].replace(", ", "," + inner)
+        else:
+            sep = "["
+            for item in value:
+                yield sep + inner
+                yield from _json_chunks(item, inner)
+                sep = ","
+        yield pad + "]"
+    else:
+        yield _encode(value)  # a scalar, a string, or an empty list or dict
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        # streamed chunk by chunk: the bytes of print(json.dumps(...)) without
-        # holding the whole document as one string
-        json.dump(payload, sys.stdout, indent=2)
+        # the bytes of print(json.dumps(payload, indent=2)), written a chunk at a
+        # time so that the whole document is never one string
+        for chunk in _json_chunks(payload):
+            sys.stdout.write(chunk)
         sys.stdout.write("\n")
     elif fmt == "csv":
         _emit_csv(payload)

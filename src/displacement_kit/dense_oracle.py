@@ -8,8 +8,8 @@ The only code it shares with that path is input validation (the
 
 An operator is a matrix or an object with ``dim`` and an ``apply`` that
 takes an (n, B) block.  It is applied to blocks: :func:`materialize` is one
-call on the identity block and :func:`compare` one call on the block of its
-samples, through ``apply`` (never the polynomial kernel) or one GEMM.  The
+call on the identity block and :func:`compare` one call per chunk of the block
+of its samples, through ``apply`` (never the polynomial kernel) or one GEMM.  The
 oracle arithmetic itself (LU, SVD) is unchanged.
 """
 
@@ -29,6 +29,8 @@ DEFAULT_RANK_TOL = 1e-10
 #: operator-norm slack accepted when an input must be nonexpansive (the one
 #: definition; the matrix series of resolvent_yosida imports it)
 NONEXPANSIVE_TOL = 1e-8
+#: entries of the largest block of samples that compare applies at once (1 MiB)
+_CHUNK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -162,9 +164,12 @@ def compare(
 ) -> ComparisonReport:
     """Apply both operators to seeded Gaussian vectors plus every basis vector.
 
-    The samples are the columns of one (n, n_samples + n) block, applied in
-    one call per operator.  The report records the max/mean of the per-sample
-    max-abs deviations, the seed, and whether the max stayed within ``tol``.
+    The samples are the columns of the (n, n_samples + n) block [G | I], applied
+    in one call per operator for each chunk of columns of at most _CHUNK_ENTRIES
+    entries (one chunk up to n = 346 with the default n_samples), so that the
+    memory held is O(n * n_samples + _CHUNK_ENTRIES), not O(n^2).  The report
+    records the max/mean of the per-sample max-abs deviations, the seed, and
+    whether the max stayed within ``tol``.
     """
     func_a, n = _as_apply(op_a)
     func_b, n_b = _as_apply(op_b)
@@ -173,7 +178,14 @@ def compare(
     n_samples = _check_int(n_samples, "n_samples", 1)
     rng = np.random.default_rng(seed)
     # row i of the draw is the i-th of n_samples consecutive standard_normal(n) calls
-    samples = np.hstack((rng.standard_normal((n_samples, n)).T, np.eye(n)))
-    gap = np.asarray(func_a(samples)) - np.asarray(func_b(samples))
-    deviations = np.max(np.abs(gap), axis=0)
-    return ComparisonReport.from_deviations(label, deviations, tol, seed)
+    gaussian = rng.standard_normal((n_samples, n)).T
+    total, width = n_samples + n, max(1, _CHUNK_ENTRIES // n)
+    deviations = []
+    for start in range(0, total, width):
+        stop = min(start + width, total)
+        first = min(max(start, n_samples), stop)  # the chunk's first column of I
+        # columns start..stop-1 of [G | I]
+        samples = np.hstack((gaussian[:, start:first], np.eye(n, stop - first, n_samples - first)))
+        gap = np.asarray(func_a(samples)) - np.asarray(func_b(samples))
+        deviations.append(np.max(np.abs(gap), axis=0))
+    return ComparisonReport.from_deviations(label, np.concatenate(deviations), tol, seed)

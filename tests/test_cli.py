@@ -1,13 +1,19 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from displacement_kit import make_circular_shift, materialize
-from displacement_kit.cli import build_parser, main
+from displacement_kit.cli import _SLICE, _emit, build_parser, main
 from displacement_kit.io_utils import save_matrix, save_vector
 
 
@@ -388,6 +394,89 @@ def test_json_output_is_byte_identical_to_dumps(capsys, tmp_path, payloads):
         assert code == 0, (name, err)
         assert len(payloads) == 1, name
         assert out == json.dumps(payloads[0], indent=2) + "\n", name
+
+
+def test_iterate_json_with_rows_longer_than_a_slice_is_byte_identical(capsys, tmp_path, payloads):
+    # n = 1050 > _SLICE: every point is written as two slices
+    x0 = tmp_path / "x0.json"
+    save_vector(x0, np.random.default_rng(5).standard_normal(1050))
+    code, out, err = run(
+        capsys, "iterate", "--kind", "shift", "--m", "3", "--block-dim", "350",
+        "--gamma", "1", "--x0", str(x0),
+    )
+    assert code == 0, err
+    assert len(payloads[0]["points"][0]) == 1050 > _SLICE
+    assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+def _emitted(payload) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit(payload, "json")
+    return out.getvalue()
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, -1e-7, 1e300]
+_scalars = st.one_of(
+    st.floats(),  # NaN and +-inf included
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.none(),
+)
+# strings that need escaping, are not ASCII, or hold the ", " between list items
+_strings = st.one_of(
+    st.text(max_size=8), st.sampled_from(["a, b", ", ", '"q"', "\\", "\n", "é", "\u2028", "\x00"])
+)
+_json_values = st.recursive(
+    st.one_of(_scalars, _strings),
+    lambda inner: st.one_of(
+        st.lists(_scalars, max_size=8),
+        st.lists(_strings, max_size=4),
+        st.lists(inner, max_size=5),
+        st.lists(st.dictionaries(_strings, inner, max_size=3), max_size=3),
+        st.dictionaries(_strings, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_json_values)
+@example(["a, b", ", "])
+@example([1.5, "x, y", None])
+def test_json_emission_equals_dumps_for_any_json_value(payload):
+    assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("length", [1, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE, 2 * _SLICE + 1])
+def test_json_emission_of_lists_about_a_slice_long_equals_dumps(length):
+    values = np.random.default_rng(length).standard_normal(length).tolist()
+    specials = [math.nan, -0.0, 3, True, None, -math.inf]
+    for i in range(0, length, 97):
+        values[i] = specials[i % len(specials)]
+    for payload in (values, {"row": values}, [[values], {"rows": [values, values]}]):
+        assert _emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_emission_writes_one_slice_at_a_time(monkeypatch):
+    # 2000 x 2000 scalars, 36 MB of JSON, of which no write may hold more than one
+    # slice; one shared row of zeros, whose text is the quickest to make, keeps the
+    # test short (every scalar takes the same path)
+    row = [0] * 2000
+
+    class Stdout:
+        def __init__(self):
+            self.lengths = []
+
+        def write(self, text):
+            self.lengths.append(len(text))
+
+    stdout = Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    _emit({"matrix": [row] * 2000}, "json")
+    one_slice = json.dumps({"matrix": [row[:_SLICE]]}, indent=2)
+    assert max(stdout.lengths) <= len(one_slice)
+    assert len(stdout.lengths) >= 2000 * 2  # each row is two slices
 
 
 SHOW_KEYS = ["kind", "m", "dim", "isometry", "fixed_projector", "skew_part", "pseudo_inverse"]

@@ -1,8 +1,11 @@
 """Materialization and the independent dense-linear-algebra oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from displacement_kit import dense_oracle
 from displacement_kit import (
     ComparisonReport,
     NumericError,
@@ -217,6 +220,44 @@ def test_compare_detects_mismatch():
     assert not report.passed
     assert report.max_abs_deviation > 0.1
     assert report.label == "shift vs projector"
+
+
+class _Recorder:
+    """An identity operator that keeps a copy of every block it is applied to."""
+
+    dim = 5
+
+    def __init__(self):
+        self.blocks = []
+
+    def apply(self, X):
+        self.blocks.append(X.copy())
+        return X
+
+
+def test_compare_applies_the_sample_block_in_column_chunks(monkeypatch):
+    # width 3 over 4 Gaussian columns and 5 basis columns: one chunk holds both kinds
+    monkeypatch.setattr(dense_oracle, "_CHUNK_ENTRIES", 3 * _Recorder.dim + 2)
+    recorder = _Recorder()
+    report = compare(recorder, np.eye(5), n_samples=4, seed=11)
+    assert report.max_abs_deviation == 0.0 and report.samples == 9
+    assert [b.shape for b in recorder.blocks] == [(5, 3), (5, 3), (5, 3)]
+    draw = np.random.default_rng(11).standard_normal((4, 5)).T
+    np.testing.assert_array_equal(np.hstack(recorder.blocks), np.hstack((draw, np.eye(5))))
+
+
+def test_compare_memory_does_not_grow_with_n_squared():
+    # n = 1024: the whole (n, 32 + n) sample block and its images would hold 33.8 MiB
+    op = resolvent(make_rotator(8, 512), 1.0)
+    matrix = materialize(op)
+    tracemalloc.start()
+    try:
+        report = compare(op, matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.samples == 32 + 1024
+    assert peak <= 12 * 2**20
 
 
 def test_compare_rejects_dimension_mismatch():

@@ -328,16 +328,24 @@ def test_materialized_powers_match(R):
 
 
 def large_order_dense(seed=5):
-    """Dense conjugates at m = 64 and 1024, where the clusters near 2 are (2*pi/m)^2 apart."""
+    """Dense conjugates at m = 64 to 32768, where the clusters near 2 are (2*pi/m)^2 apart."""
     rng = np.random.default_rng(seed)
     q = random_orthogonal(5, rng)
     # eigenvalues e^(+-2*pi*i/1024), -1 twice and 1: the clusters j = 1, m/2 and 0
     mixed = np.diag([1.0, 1.0, -1.0, -1.0, 1.0])
     mixed[:2, :2] = rotation_matrix(2 * np.pi / 1024)
+    # a rotation by 2*pi/m plus a fixed vector: Fix A next to the nearest cluster j = 1
+    turns = []
+    for m in (8192, 32768):
+        turn = np.eye(3)
+        turn[:2, :2] = rotation_matrix(2 * np.pi / m)
+        q3 = random_orthogonal(3, rng)
+        turns.append(make_dense(q3 @ turn @ q3.T, m))
     return [
         conjugated_dense(make_circular_shift(64), rng),
         conjugated_dense(make_rotator(1024, 2), rng),
         make_dense(q @ mixed @ q.T, 1024),
+        *turns,
     ]
 
 
@@ -381,7 +389,7 @@ def test_closed_form_fixed_space_bases():
 def test_large_order_dense_basis_matches_nullspace_oracle(R):
     B = R.fixed_space_basis()
     assert B.shape == (R.eigen_multiplicities()[0], R.dim)
-    np.testing.assert_allclose(B.T @ B, oracle_projector_fix(materialize(R)), atol=1e-10)
+    np.testing.assert_allclose(B.T @ B, oracle_projector_fix(materialize(R)), rtol=0, atol=1e-12)
 
 
 def test_dense_multiplicities_reject_a_wrong_order():
