@@ -1,12 +1,12 @@
 """Batch command-line front end.
 
-Subcommands construct an instance from flags, evaluate or materialize the
-requested operator, and print JSON (default), CSV, or a readable table.
+Each subcommand builds its payload as plain data from the flags, and
+:func:`main` prints it as JSON (default), CSV, or a readable table.
 The CLI parses and passes values on: every range check (gamma, orders,
-tolerances) is the library's, and its DisplacementKitError becomes exit 2.
-``--seed`` belongs to ``verify``, the one subcommand that samples.
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-input error.
+tolerances) is the library's, and so is every default: an option left out is
+left out of the library call.  ``--seed`` belongs to ``verify``, the one
+subcommand that samples.  Exit codes: 0 success, 1 when the payload's
+``all_pass`` is false, 2 usage or input error (a DisplacementKitError).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    library = argparse.SUPPRESS  # an option left out is left out of the library call
 
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument(
@@ -56,10 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     instance.add_argument("--m", type=int, required=True, help="certified order (>= 2)")
     instance.add_argument(
-        "--blocks", type=int, default=1, help="rotator only: number of 2x2 blocks"
+        "--blocks", type=int, default=library, help="rotator only: number of 2x2 blocks"
     )
     instance.add_argument(
-        "--block-dim", type=int, default=1, help="shift only: dimension of each block"
+        "--block-dim", type=int, default=library, help="shift only: dimension of each block"
     )
     instance.add_argument(
         "--matrix-path", help="dense-file only: JSON or CSV matrix to certify and use"
@@ -67,12 +68,20 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument(
         "--dense-tol",
         type=float,
-        default=1e-10,
-        help="dense-file only: certification tolerance (default 1e-10)",
+        default=library,
+        help="dense-file only: certification tolerance (default: make_dense's tol)",
     )
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
+
+    family = argparse.ArgumentParser(add_help=False)  # resolvent and yosida
+    family.add_argument("--gamma", type=_parse_gamma, required=True)
+    family.add_argument("--inverse", action="store_true", help="use the inverse mapping")
+
+    operator = argparse.ArgumentParser(add_help=False)  # resolvent, yosida and pinv
+    operator.add_argument("--materialize", action="store_true", help="include the dense matrix")
+    operator.add_argument("--apply", metavar="FILE", help="apply the operator to this vector file")
 
     sub.add_parser(
         "show",
@@ -84,17 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("resolvent", "closed-form resolvent of gamma*(Id - R), or of its inverse"),
         ("yosida", "Yosida approximation of Id - R, or of its inverse"),
     ):
-        p = sub.add_parser(name, parents=[instance, common], help=blurb)
-        p.add_argument("--gamma", type=_parse_gamma, required=True)
-        p.add_argument("--inverse", action="store_true", help="use the inverse mapping")
-        p.add_argument("--materialize", action="store_true", help="include the dense matrix")
-        p.add_argument("--apply", metavar="FILE", help="apply the operator to this vector file")
+        sub.add_parser(name, parents=[instance, common, family, operator], help=blurb)
 
-    p_pinv = sub.add_parser(
-        "pinv", parents=[instance, common], help="Moore-Penrose inverse of Id - R"
+    sub.add_parser(
+        "pinv", parents=[instance, common, operator], help="Moore-Penrose inverse of Id - R"
     )
-    p_pinv.add_argument("--materialize", action="store_true")
-    p_pinv.add_argument("--apply", metavar="FILE")
 
     p_solve = sub.add_parser(
         "solve",
@@ -103,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--rhs", metavar="FILE", required=True, help="right-hand side vector")
     p_solve.add_argument(
-        "--tol", type=float, default=1e-9, help="relative range-membership threshold"
+        "--tol", type=float, default=library, help="relative range-membership threshold"
     )
 
     p_iter = sub.add_parser(
@@ -111,34 +114,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_iter.add_argument("--gamma", type=_parse_gamma, required=True)
     p_iter.add_argument("--x0", metavar="FILE", required=True, help="starting vector")
-    p_iter.add_argument("--max-iter", type=int, default=10_000)
-    p_iter.add_argument("--tol", type=float, default=1e-12, help="step-norm stopping tolerance")
+    p_iter.add_argument("--max-iter", type=int, default=library)
+    p_iter.add_argument("--tol", type=float, default=library, help="step-norm stopping tolerance")
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run the full invariant battery against the dense oracle"
     )
-    p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p_verify.add_argument("--max-m", type=int, default=8, help="largest order in the grid")
-    p_verify.add_argument("--max-dim", type=int, default=64, help="largest dimension in the grid")
+    p_verify.add_argument("--seed", type=int, default=library, help="RNG seed")
+    p_verify.add_argument("--max-m", type=int, default=library, help="largest order in the grid")
+    p_verify.add_argument("--max-dim", type=int, default=library, help="largest grid dimension")
 
     p_repro = sub.add_parser(
         "reproduce-paper",
         parents=[common],
-        help="re-derive the tabulated small-instance matrices and diff them at 1e-12",
+        help="re-derive the tabulated small-instance matrices and diff them entrywise",
     )
-    p_repro.add_argument("--gamma", type=_parse_gamma, default=1.0)
+    p_repro.add_argument("--gamma", type=_parse_gamma, default=library)
 
     return parser
 
 
+def _given(args, **keywords) -> dict:
+    """The library keywords, as ``keyword=dest``, whose options were given."""
+    return {key: getattr(args, dest) for key, dest in keywords.items() if dest in args}
+
+
 def _instance(args):
     if args.kind == "rotator":
-        return make_rotator(args.m, args.blocks)
+        return make_rotator(args.m, **_given(args, blocks="blocks"))
     if args.kind == "shift":
-        return make_circular_shift(args.m, args.block_dim)
+        return make_circular_shift(args.m, **_given(args, block_dim="block_dim"))
     if not args.matrix_path:
         raise ParameterError("--matrix-path is required for --kind dense-file")
-    return make_dense(load_matrix(args.matrix_path), args.m, args.dense_tol)
+    return make_dense(load_matrix(args.matrix_path), args.m, **_given(args, tol="dense_tol"))
 
 
 def _fmt(value) -> str:
@@ -246,93 +254,64 @@ def _emit(payload: dict, fmt: str) -> None:
         _emit_pretty(payload)
 
 
-def _operator_payload(args, op, name: str, gamma=None) -> dict:
-    payload = {"operator": name}
-    if gamma is not None:
-        payload["gamma"] = float(gamma)
-    payload["m"] = op.order
-    payload["coefficients"] = op.coefficients.tolist()
-    if getattr(args, "materialize", False):
+def _payload(args) -> dict:
+    """The data that subcommand ``args.command`` prints."""
+    if args.command == "verify":
+        reports = run_verification(**_given(args, seed="seed", max_m="max_m", max_dim="max_dim"))
+        all_pass = all(r.passed for r in reports)
+        return {"reports": [r.to_dict() for r in reports], "all_pass": all_pass}
+    if args.command == "reproduce-paper":
+        rows = reproduce_worked_examples(**_given(args, gamma="gamma"))
+        cases = [dict(r, matrix=r["matrix"].tolist()) for r in rows]
+        return {"cases": cases, "all_pass": all(r["pass"] for r in rows)}
+
+    R = _instance(args)
+    if args.command == "show":
+        return {
+            "kind": R.kind,
+            "m": R.order,
+            "dim": R.dim,
+            "isometry": materialize(R).tolist(),
+            "fixed_projector": materialize(projector_fix(R)).tolist(),
+            "skew_part": materialize(skew_part(R)).tolist(),
+            "pseudo_inverse": materialize(pseudo_inverse(R)).tolist(),
+        }
+    if args.command == "solve":
+        solution = set_valued_inverse(R, load_vector(args.rhs), **_given(args, tol="tol"))
+        if solution is None:
+            return {"message": "not in range of M"}
+        return {"point": solution.point.tolist(), "basis": solution.basis.tolist()}
+    if args.command == "iterate":
+        return proximal_point(
+            R, args.gamma, load_vector(args.x0), **_given(args, max_iter="max_iter", stop_tol="tol")
+        ).to_dict()
+
+    if args.command == "pinv":
+        op, payload = pseudo_inverse(R), {"operator": "pseudo_inverse"}
+    else:
+        name = args.command + ("_inverse" if args.inverse else "")
+        op = OPERATOR_BUILDERS[name](R, args.gamma)
+        payload = {"operator": name, "gamma": float(args.gamma)}
+    payload.update(m=op.order, coefficients=op.coefficients.tolist())
+    if args.materialize:
         payload["matrix"] = materialize(op).tolist()
-    if getattr(args, "apply", None):
+    if args.apply:
         payload["result"] = op.apply(load_vector(args.apply)).tolist()
     return payload
 
 
-def _dispatch(args) -> int:
-    if args.command == "show":
-        R = _instance(args)
-        _emit(
-            {
-                "kind": R.kind,
-                "m": R.order,
-                "dim": R.dim,
-                "isometry": materialize(R).tolist(),
-                "fixed_projector": materialize(projector_fix(R)).tolist(),
-                "skew_part": materialize(skew_part(R)).tolist(),
-                "pseudo_inverse": materialize(pseudo_inverse(R)).tolist(),
-            },
-            args.format,
-        )
-        return 0
-
-    if args.command in ("resolvent", "yosida"):
-        R = _instance(args)
-        name = args.command + ("_inverse" if args.inverse else "")
-        op = OPERATOR_BUILDERS[name](R, args.gamma)
-        _emit(_operator_payload(args, op, name, args.gamma), args.format)
-        return 0
-
-    if args.command == "pinv":
-        R = _instance(args)
-        _emit(_operator_payload(args, pseudo_inverse(R), "pseudo_inverse"), args.format)
-        return 0
-
-    if args.command == "solve":
-        R = _instance(args)
-        rhs = load_vector(args.rhs)
-        solution = set_valued_inverse(R, rhs, tol=args.tol)
-        if solution is None:
-            _emit({"message": "not in range of M"}, args.format)
-        else:
-            _emit({"point": solution.point.tolist(), "basis": solution.basis.tolist()}, args.format)
-        return 0
-
-    if args.command == "iterate":
-        R = _instance(args)
-        trajectory = proximal_point(
-            R, args.gamma, load_vector(args.x0), max_iter=args.max_iter, stop_tol=args.tol
-        )
-        if args.format == "csv":
-            print("\n".join(format(r, ".17g") for r in trajectory.residuals))
-        else:
-            _emit(trajectory.to_dict(), args.format)
-        return 0
-
-    if args.command == "verify":
-        reports = run_verification(seed=args.seed, max_m=args.max_m, max_dim=args.max_dim)
-        all_pass = all(r.passed for r in reports)
-        _emit({"reports": [r.to_dict() for r in reports], "all_pass": all_pass}, args.format)
-        return 0 if all_pass else 1
-
-    if args.command == "reproduce-paper":
-        rows = reproduce_worked_examples(args.gamma)
-        payload_rows = [dict(r, matrix=r["matrix"].tolist()) for r in rows]
-        all_pass = all(r["pass"] for r in rows)
-        _emit({"cases": payload_rows, "all_pass": all_pass}, args.format)
-        return 0 if all_pass else 1
-
-    raise ParameterError(f"unknown command {args.command!r}")  # unreachable
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        payload = _payload(args)
     except DisplacementKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.command == "iterate" and args.format == "csv":  # the residuals alone, one a line
+        print("\n".join(format(r, ".17g") for r in payload["residuals"]))
+    else:
+        _emit(payload, args.format)
+    return 0 if payload.get("all_pass", True) else 1
 
 
 def entrypoint() -> None:

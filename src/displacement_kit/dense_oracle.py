@@ -9,8 +9,8 @@ The only code it shares with that path is input validation (the
 An operator is a matrix or an object with ``dim`` and an ``apply`` that
 takes an (n, B) block.  It is applied to blocks: :func:`materialize` is one
 call on the identity block and :func:`compare` one call per chunk of the block
-of its samples, through ``apply`` (never the polynomial kernel) or one GEMM.  The
-oracle arithmetic itself (LU, SVD) is unchanged.
+of its samples, through ``apply`` (never the polynomial kernel) or one GEMM.  LU
+and SVD get a C-ordered array whatever layout the operator returns.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def _as_apply(op):
 def materialize(op) -> np.ndarray:
     """Dense matrix of an operator: its image of the identity block, column j = op(e_j).
 
-    Row-major whatever layout the operator returns (a rotator's block comes
-    back transposed), so the oracle factorizes the same arrays as before.
+    C-ordered whatever layout the operator returns (a rotator's block comes
+    back transposed), so that LU and SVD always factorize a C-ordered array.
     """
     func, n = _as_apply(op)
     return np.ascontiguousarray(func(np.eye(n)), dtype=float)
@@ -176,7 +176,8 @@ def compare(
     if n != n_b:
         raise ParameterError(f"operators disagree on dimension: {n} vs {n_b}")
     n_samples = _check_int(n_samples, "n_samples", 1)
-    rng = np.random.default_rng(seed)
+    tol = _check_real(tol, "tol", allow_zero=True)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     # row i of the draw is the i-th of n_samples consecutive standard_normal(n) calls
     gaussian = rng.standard_normal((n_samples, n)).T
     total, width = n_samples + n, max(1, _CHUNK_ENTRIES // n)

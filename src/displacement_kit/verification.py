@@ -30,7 +30,13 @@ from .displacement_calculus import (
     set_valued_inverse,
     skew_part,
 )
-from .isometry_core import FiniteOrderIsometry, make_circular_shift, make_dense, make_rotator
+from .isometry_core import (
+    FiniteOrderIsometry,
+    _check_int,
+    make_circular_shift,
+    make_dense,
+    make_rotator,
+)
 from .iteration_lab import ergodic_mean, lipschitz_estimate, proximal_point
 from .resolvent_yosida import (
     resolvent,
@@ -66,7 +72,9 @@ def conjugated_dense(iso: FiniteOrderIsometry, rng: np.random.Generator) -> Fini
 
 def standard_instances(max_m: int = 8, max_dim: int = 64, seed: int = 7) -> list:
     """Instance grid covering every kind for each order, with sizes up to max_dim."""
-    rng = np.random.default_rng(seed)
+    max_m = _check_int(max_m, "max_m", 2)
+    max_dim = _check_int(max_dim, "max_dim", 1)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     instances = []
     for m in range(2, max_m + 1):
         instances.append(make_rotator(m))
@@ -161,6 +169,7 @@ def reproduce_worked_examples(gamma: float = 1.0) -> list:
 
 def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
     """Run every named invariant over the standard grid; one report per invariant."""
+    seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     instances = standard_instances(max_m=max_m, max_dim=max_dim, seed=seed + 7)
     reports: list = []

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -12,8 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from displacement_kit import make_circular_shift, materialize
+import displacement_kit.cli as cli
+from displacement_kit import ParameterError, make_circular_shift, materialize
 from displacement_kit.cli import _SLICE, _emit, build_parser, main
+from displacement_kit.displacement_calculus import RANGE_MEMBERSHIP_TOL
+from displacement_kit.isometry_core import DEFAULT_VALIDATION_TOL
 from displacement_kit.io_utils import save_matrix, save_vector
 
 
@@ -33,8 +37,8 @@ def test_resolvent_materialize_half_turn(capsys):
         capsys, "resolvent", "--kind", "rotator", "--m", "2", "--gamma", "1", "--materialize"
     )
     assert code == 0
-    np.testing.assert_allclose(data["matrix"], np.eye(2) / 3.0, atol=1e-14)
-    np.testing.assert_allclose(data["coefficients"], [2 / 3, 1 / 3], atol=1e-15)
+    np.testing.assert_allclose(data["matrix"], np.eye(2) / 3.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(data["coefficients"], [2 / 3, 1 / 3], rtol=0, atol=1e-15)
     assert data["m"] == 2 and data["gamma"] == 1.0 and data["operator"] == "resolvent"
 
 
@@ -45,7 +49,7 @@ def test_resolvent_accepts_rational_gamma(capsys):
     assert code == 0
     g = 0.5
     expected = np.array([[1 + g, g], [g, 1 + g]]) / (1 + 2 * g)
-    np.testing.assert_allclose(data["matrix"], expected, atol=1e-14)
+    np.testing.assert_allclose(data["matrix"], expected, rtol=0, atol=1e-14)
 
 
 def test_resolvent_inverse_flag(capsys):
@@ -55,7 +59,7 @@ def test_resolvent_inverse_flag(capsys):
     )
     assert code == 0
     assert data["operator"] == "resolvent_inverse"
-    np.testing.assert_allclose(data["matrix"], 0.5 * np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(data["matrix"], 0.5 * np.eye(2), rtol=0, atol=1e-14)
 
 
 def test_yosida_command(capsys):
@@ -63,7 +67,7 @@ def test_yosida_command(capsys):
         capsys, "yosida", "--kind", "rotator", "--m", "2", "--gamma", "1", "--materialize"
     )
     assert code == 0
-    np.testing.assert_allclose(data["matrix"], (2 / 3) * np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(data["matrix"], (2 / 3) * np.eye(2), rtol=0, atol=1e-14)
 
 
 def test_yosida_inverse_apply_to_file(capsys, tmp_path):
@@ -75,7 +79,7 @@ def test_yosida_inverse_apply_to_file(capsys, tmp_path):
         "--apply", str(x_file),
     )
     assert code == 0
-    np.testing.assert_allclose(data["result"], [2 / 3, 1 / 3], atol=1e-14)
+    np.testing.assert_allclose(data["result"], [2 / 3, 1 / 3], rtol=0, atol=1e-14)
 
 
 def test_pinv_command(capsys):
@@ -105,7 +109,7 @@ def test_solve_in_range(capsys, tmp_path):
     code, data, _ = run_json(capsys, "solve", "--kind", "shift", "--m", "2", "--rhs", str(rhs))
     assert code == 0
     assert list(data) == ["point", "basis"]
-    np.testing.assert_allclose(data["point"], [0.5, -0.5], atol=1e-12)
+    np.testing.assert_allclose(data["point"], [0.5, -0.5], rtol=0, atol=1e-12)
     assert len(data["basis"]) == 1 and len(data["basis"][0]) == 2
 
 
@@ -117,7 +121,7 @@ def test_iterate_json_and_csv(capsys, tmp_path):
     )
     assert code == 0
     assert data["converged"] is True
-    np.testing.assert_allclose(data["limit_estimate"], [2.0, 2.0, 2.0], atol=1e-8)
+    np.testing.assert_allclose(data["limit_estimate"], [2.0, 2.0, 2.0], rtol=0, atol=1e-8)
     assert len(data["residuals"]) == data["iterations_used"]
 
     code, out, _ = run(
@@ -298,6 +302,20 @@ def test_verify_seed_defaults_to_zero(capsys):
     assert all(r["seed"] == 0 for r in data["reports"])
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--seed", "-1"), "error: seed must be an integer >= 0, got -1"),
+        (("--max-m", "1"), "error: max_m must be an integer >= 2, got 1"),
+        (("--max-dim", "0"), "error: max_dim must be an integer >= 1, got 0"),
+    ],
+    ids=["seed", "max-m", "max-dim"],
+)
+def test_verify_grid_errors_exit_2_naming_the_parameter(capsys, flags, message):
+    code, out, err = run(capsys, "verify", *flags)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_reproduce_paper_all_pass(capsys):
     code, data, _ = run_json(capsys, "reproduce-paper", "--gamma", "1")
     assert code == 0
@@ -314,7 +332,7 @@ def test_reproduce_paper_rational_gamma(capsys):
     case = next(
         c for c in data["cases"] if c["kind"] == "rotator" and c["m"] == 2 and c["operator"] == "resolvent"
     )
-    np.testing.assert_allclose(case["matrix"], np.eye(2) / 2.0, atol=1e-14)
+    np.testing.assert_allclose(case["matrix"], np.eye(2) / 2.0, rtol=0, atol=1e-14)
 
 
 def test_pretty_and_csv_formats_smoke(capsys):
@@ -332,6 +350,108 @@ def test_pretty_and_csv_formats_smoke(capsys):
     assert code == 0
     assert "# matrix" in out
     assert "operator,resolvent" in out
+
+
+PINV_SHIFT3_CSV = """\
+operator,pseudo_inverse
+m,3
+coefficients,0.33333333333333331,0,-0.33333333333333331
+# matrix
+0.33333333333333331,-0.33333333333333331,0
+0,0.33333333333333331,-0.33333333333333331
+-0.33333333333333331,0,0.33333333333333331
+"""
+
+PINV_SHIFT3_PRETTY = """\
+operator: pseudo_inverse
+m: 3
+coefficients: 0.33333333333333331  0  -0.33333333333333331
+matrix:
+   0.333333333333  -0.333333333333   0.000000000000
+   0.000000000000   0.333333333333  -0.333333333333
+  -0.333333333333   0.000000000000   0.333333333333
+"""
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", PINV_SHIFT3_CSV), ("pretty", PINV_SHIFT3_PRETTY)])
+def test_operator_payload_text_is_pinned(capsys, fmt, text):
+    code, out, err = run(
+        capsys, "pinv", "--kind", "shift", "--m", "3", "--materialize", "--format", fmt
+    )
+    assert (code, out, err) == (0, text, "")
+
+
+REPRODUCED = [
+    (kind, m, op)
+    for kind, orders in (("rotator", (2, 3, 4)), ("shift", (2, 3)))
+    for m in orders
+    for op in ("resolvent", "resolvent_inverse", "yosida", "yosida_inverse")
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+def test_record_payload_text_is_pinned(capsys, payloads, fmt):
+    code, out, err = run(capsys, "reproduce-paper", "--format", fmt)
+    assert (code, err) == (0, "")
+    # the deviations are rounding errors of the closed forms, read from the payload
+    devs = [format(case["max_abs_deviation"], ".17g") for case in payloads[0]["cases"]]
+    assert all(float(dev) <= 1e-15 for dev in devs)
+    tol = "9.9999999999999998e-13"
+    if fmt == "csv":
+        lines = ["# cases", "kind,m,operator,gamma,max_abs_deviation,tolerance,pass"]
+        lines += [f"{k},{m},{op},1,{dev},{tol},true" for (k, m, op), dev in zip(REPRODUCED, devs)]
+        lines.append("all_pass,true")
+    else:
+        lines = ["cases:"]
+        lines += [
+            f"  PASS  kind={k}  m={m}  operator={op}  gamma=1  max_abs_deviation={dev}"
+            f"  tolerance={tol}  pass=true"
+            for (k, m, op), dev in zip(REPRODUCED, devs)
+        ]
+        lines.append("all_pass: true")
+    assert out == "\n".join(lines) + "\n"
+
+
+def _defaulted_calls(tmp_path):
+    """(argv, the library function it calls, the parameters it leaves to that function)."""
+    vec, mat = tmp_path / "v3.json", tmp_path / "m.json"
+    save_vector(vec, [1.0, -2.0, 0.5])
+    save_matrix(mat, materialize(make_circular_shift(3)))
+    shift3 = ("--kind", "shift", "--m", "3")
+    return [
+        (("show", "--kind", "rotator", "--m", "3"), "make_rotator", {"blocks"}),
+        (("show", *shift3), "make_circular_shift", {"block_dim"}),
+        (("pinv", "--kind", "dense-file", "--m", "3", "--matrix-path", str(mat)), "make_dense",
+         {"tol"}),
+        (("solve", *shift3, "--rhs", str(vec)), "set_valued_inverse", {"tol"}),
+        (("iterate", *shift3, "--gamma", "1", "--x0", str(vec)), "proximal_point",
+         {"max_iter", "stop_tol"}),
+        (("verify",), "run_verification", {"seed", "max_m", "max_dim"}),
+        (("reproduce-paper",), "reproduce_worked_examples", {"gamma"}),
+    ]
+
+
+def test_absent_options_leave_the_library_default(capsys, tmp_path, monkeypatch):
+    named = {("make_dense", "tol"): DEFAULT_VALIDATION_TOL,
+             ("set_valued_inverse", "tol"): RANGE_MEMBERSHIP_TOL}
+    for argv, name, params in _defaulted_calls(tmp_path):
+        signature = inspect.signature(getattr(cli, name))
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs))
+            raise ParameterError("recorded")
+
+        monkeypatch.setattr(cli, name, recording)
+        code, out, err = run(capsys, *argv)
+        monkeypatch.undo()
+        assert (code, out, err) == (2, "", "error: recorded\n"), name
+        (bound,) = calls
+        assert params.isdisjoint(bound.arguments), name  # not passed: the library decides
+        bound.apply_defaults()
+        for param in params:
+            default = signature.parameters[param].default
+            assert bound.arguments[param] == named.get((name, param), default), (name, param)
 
 
 def test_deterministic_output_given_seed(capsys):
@@ -372,8 +492,6 @@ def _json_commands(tmp_path):
 @pytest.fixture
 def payloads(monkeypatch):
     """The payloads that ``cli._emit`` receives, which still prints them."""
-    import displacement_kit.cli as cli
-
     received = []
     emit = cli._emit
 

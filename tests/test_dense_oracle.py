@@ -34,7 +34,7 @@ IDS = lambda R: f"{R.kind}-m{R.order}-n{R.dim}"
 
 def test_materialize_quarter_rotation():
     np.testing.assert_allclose(
-        materialize(make_rotator(4)), [[0.0, -1.0], [1.0, 0.0]], atol=1e-15
+        materialize(make_rotator(4)), [[0.0, -1.0], [1.0, 0.0]], rtol=0, atol=1e-15
     )
 
 
@@ -58,20 +58,20 @@ def test_materialize_requires_dim_for_callable():
 
 
 def test_oracle_resolvent_identity_input():
-    np.testing.assert_allclose(oracle_resolvent(np.eye(3), 5.0), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(oracle_resolvent(np.eye(3), 5.0), np.eye(3), rtol=0, atol=1e-14)
 
 
 def test_oracle_resolvent_shift_two():
     # oracle of the oracle: invert [[2, -1], [-1, 2]] directly
     expected = np.linalg.inv(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     got = oracle_resolvent(materialize(make_circular_shift(2)), 1.0)
-    np.testing.assert_allclose(got, expected, atol=1e-14)
-    np.testing.assert_allclose(got, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0, atol=1e-14)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0, rtol=0, atol=1e-14)
 
 
 def test_oracle_resolvent_matches_tabulated_rotator():
     got = oracle_resolvent(materialize(make_rotator(3)), 1.0)
-    np.testing.assert_allclose(got, rotator_closed_forms(3, 1.0)["resolvent"], atol=1e-12)
+    np.testing.assert_allclose(got, rotator_closed_forms(3, 1.0)["resolvent"], rtol=0, atol=1e-12)
 
 
 def test_oracle_resolvent_rejects_singular_system():
@@ -100,14 +100,14 @@ def test_oracle_pinv_zero_matrix():
 
 
 def test_oracle_pinv_scalar_matrix():
-    np.testing.assert_allclose(oracle_pinv(2.0 * np.eye(4)), 0.5 * np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(oracle_pinv(2.0 * np.eye(4)), 0.5 * np.eye(4), rtol=0, atol=1e-14)
 
 
 def test_oracle_pinv_cross_validates_closed_form():
     R = make_circular_shift(3)
     displaced = np.eye(3) - materialize(R)
     np.testing.assert_allclose(
-        oracle_pinv(displaced), materialize(pseudo_inverse(R)), atol=1e-10
+        oracle_pinv(displaced), materialize(pseudo_inverse(R)), rtol=0, atol=1e-10
     )
 
 
@@ -115,28 +115,30 @@ def test_oracle_pinv_satisfies_axioms_on_random_low_rank():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 6))
     p = oracle_pinv(a)
-    np.testing.assert_allclose(a @ p @ a, a, atol=1e-9)
-    np.testing.assert_allclose(p @ a @ p, p, atol=1e-9)
-    np.testing.assert_allclose((a @ p).T, a @ p, atol=1e-9)
-    np.testing.assert_allclose((p @ a).T, p @ a, atol=1e-9)
+    np.testing.assert_allclose(a @ p @ a, a, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(p @ a @ p, p, rtol=0, atol=1e-9)
+    np.testing.assert_allclose((a @ p).T, a @ p, rtol=0, atol=1e-9)
+    np.testing.assert_allclose((p @ a).T, p @ a, rtol=0, atol=1e-9)
 
 
 # --- oracle fixed-space projector ------------------------------------------------------
 
 
 def test_oracle_projector_identity():
-    np.testing.assert_allclose(oracle_projector_fix(np.eye(3)), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(oracle_projector_fix(np.eye(3)), np.eye(3), rtol=0, atol=1e-12)
 
 
 def test_oracle_projector_negated_identity():
-    np.testing.assert_allclose(oracle_projector_fix(-np.eye(3)), np.zeros((3, 3)), atol=1e-12)
+    np.testing.assert_allclose(
+        oracle_projector_fix(-np.eye(3)), np.zeros((3, 3)), rtol=0, atol=1e-12
+    )
 
 
 def test_oracle_projector_shift_three():
     np.testing.assert_allclose(
         oracle_projector_fix(materialize(make_circular_shift(3))),
         np.full((3, 3), 1 / 3),
-        atol=1e-12,
+        rtol=0, atol=1e-12,
     )
 
 
@@ -149,15 +151,15 @@ def test_oracle_projector_rejects_expansive_input():
 def test_oracle_projector_symmetric_idempotent_with_cesaro_check(R):
     mat = materialize(R)
     proj = oracle_projector_fix(mat)
-    np.testing.assert_allclose(proj @ proj, proj, atol=1e-9)
-    np.testing.assert_allclose(proj.T, proj, atol=1e-9)
+    np.testing.assert_allclose(proj @ proj, proj, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(proj.T, proj, rtol=0, atol=1e-9)
     # secondary check: Cesaro average of the first 64*m powers
     total = np.zeros_like(mat)
     acc = np.eye(R.dim)
     for _ in range(64 * R.order):
         total += acc
         acc = mat @ acc
-    np.testing.assert_allclose(total / (64 * R.order), proj, atol=1e-10)
+    np.testing.assert_allclose(total / (64 * R.order), proj, rtol=0, atol=1e-10)
 
 
 # --- closed form vs oracle across the grid ----------------------------------------------
@@ -168,22 +170,22 @@ def test_closed_forms_match_oracle(R):
     mat = materialize(R)
     for gamma in (0.01, 1.0, 100.0):
         np.testing.assert_allclose(
-            materialize(resolvent(R, gamma)), oracle_resolvent(mat, gamma), atol=1e-10
+            materialize(resolvent(R, gamma)), oracle_resolvent(mat, gamma), rtol=0, atol=1e-10
         )
     np.testing.assert_allclose(
-        materialize(pseudo_inverse(R)), oracle_pinv(np.eye(R.dim) - mat), atol=1e-9
+        materialize(pseudo_inverse(R)), oracle_pinv(np.eye(R.dim) - mat), rtol=0, atol=1e-9
     )
     np.testing.assert_allclose(
-        materialize(projector_fix(R)), oracle_projector_fix(mat), atol=1e-9
+        materialize(projector_fix(R)), oracle_projector_fix(mat), rtol=0, atol=1e-9
     )
 
 
 def test_oracle_resolvent_limits():
     for R in (make_rotator(4), make_circular_shift(3, 2)):
         mat = materialize(R)
-        np.testing.assert_allclose(oracle_resolvent(mat, 1e-6), np.eye(R.dim), atol=1e-4)
+        np.testing.assert_allclose(oracle_resolvent(mat, 1e-6), np.eye(R.dim), rtol=0, atol=1e-4)
         np.testing.assert_allclose(
-            oracle_resolvent(mat, 1e6), oracle_projector_fix(mat), atol=1e-4
+            oracle_resolvent(mat, 1e6), oracle_projector_fix(mat), rtol=0, atol=1e-4
         )
 
 
@@ -274,6 +276,27 @@ def test_compare_rejects_zero_samples():
 def test_compare_rejects_non_integer_samples(n_samples):
     with pytest.raises(ParameterError, match="n_samples must be an integer"):
         compare(make_rotator(4), make_rotator(4), n_samples=n_samples)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"tol": np.nan}, "tol must be a nonnegative finite real, got nan"),
+        ({"tol": -1.0}, "tol must be a nonnegative finite real, got -1.0"),
+    ],
+    ids=["seed-negative", "seed-bool", "seed-float", "tol-nan", "tol-negative"],
+)
+def test_compare_rejects_bad_seed_and_tol(kwargs, message):
+    # a report with such a tol could never pass; such a seed reached the RNG unchecked
+    with pytest.raises(ParameterError, match=message):
+        compare(make_rotator(4), make_rotator(4), **kwargs)
+
+
+def test_compare_accepts_zero_tol():
+    assert compare(make_rotator(4), make_rotator(4), tol=0.0).passed
 
 
 def test_report_round_trip_and_pass_semantics():

@@ -39,7 +39,7 @@ IDS = lambda R: f"{R.kind}-m{R.order}-n{R.dim}"
 
 def test_displacement_half_turn_doubles():
     R = make_rotator(2)
-    np.testing.assert_allclose(displacement_apply(R, [1.0, 1.0]), [2.0, 2.0], atol=1e-15)
+    np.testing.assert_allclose(displacement_apply(R, [1.0, 1.0]), [2.0, 2.0], rtol=0, atol=1e-15)
 
 
 def test_displacement_shift():
@@ -90,7 +90,7 @@ def test_horner_matches_power_sum(R):
     for c in coeffs:
         expected += c * (acc @ x)
         acc = mat @ acc
-    np.testing.assert_allclose(P.apply(x), expected, atol=1e-12)
+    np.testing.assert_allclose(P.apply(x), expected, rtol=0, atol=1e-12)
 
 
 def horner_reference(R, coeffs, x):
@@ -103,12 +103,16 @@ def horner_reference(R, coeffs, x):
 
 def krylov_reference(R, x):
     # rows M^k x, k < m, with M the materialized matrix of R, by repeated products;
-    # tensordot(c, rows, 1) is the materialized power sum sum_k c_k M^k x
+    # tensordot(c, rows, 1) is the materialized power sum sum_k c_k M^k x.  When M
+    # is exactly a permutation matrix eye[perm], the product M y is y[perm], with
+    # the same bits as the GEMM's (each entry is 1 * y_j plus exact zeros)
     mat = materialize(R)
+    perm = np.argmax(mat, axis=1)
+    is_permutation = np.array_equal(mat, np.eye(R.dim)[perm])
     rows = np.empty((R.order,) + x.shape)
     rows[0] = x
     for k in range(1, R.order):
-        rows[k] = mat @ rows[k - 1]
+        rows[k] = rows[k - 1][perm] if is_permutation else mat @ rows[k - 1]
     return rows
 
 
@@ -272,7 +276,7 @@ def test_compose_is_cyclic_convolution():
     a = PolynomialOperator(R, rng.standard_normal(4))
     b = PolynomialOperator(R, rng.standard_normal(4))
     x = rng.standard_normal(4)
-    np.testing.assert_allclose((a @ b).apply(x), a.apply(b.apply(x)), atol=1e-12)
+    np.testing.assert_allclose((a @ b).apply(x), a.apply(b.apply(x)), rtol=0, atol=1e-12)
     full = np.convolve(a.coefficients, b.coefficients)
     expected = full[:4].copy()
     expected[:3] += full[4:]
@@ -284,9 +288,9 @@ def test_addition_and_scaling():
     a = PolynomialOperator(R, [1.0, 2.0, 3.0])
     b = PolynomialOperator(R, [0.5, -1.0, 0.0])
     x = np.array([1.0, 0.0, -1.0])
-    np.testing.assert_allclose((a + b).apply(x), a.apply(x) + b.apply(x), atol=1e-14)
-    np.testing.assert_allclose((a - b).apply(x), a.apply(x) - b.apply(x), atol=1e-14)
-    np.testing.assert_allclose((2.0 * a).apply(x), 2.0 * a.apply(x), atol=1e-14)
+    np.testing.assert_allclose((a + b).apply(x), a.apply(x) + b.apply(x), rtol=0, atol=1e-14)
+    np.testing.assert_allclose((a - b).apply(x), a.apply(x) - b.apply(x), rtol=0, atol=1e-14)
+    np.testing.assert_allclose((2.0 * a).apply(x), 2.0 * a.apply(x), rtol=0, atol=1e-14)
     np.testing.assert_allclose((-a).coefficients, [-1.0, -2.0, -3.0])
 
 
@@ -309,7 +313,7 @@ def test_polynomials_commute(R):
     rng = np.random.default_rng(9)
     a = PolynomialOperator(R, rng.standard_normal(R.order))
     b = PolynomialOperator(R, rng.standard_normal(R.order))
-    np.testing.assert_allclose(materialize(a @ b), materialize(b @ a), atol=1e-10)
+    np.testing.assert_allclose(materialize(a @ b), materialize(b @ a), rtol=0, atol=1e-10)
 
 
 # --- fixed-space projector ---------------------------------------------------
@@ -318,7 +322,7 @@ def test_polynomials_commute(R):
 def test_projector_vanishes_for_half_turn():
     # the half turn fixes only the origin
     np.testing.assert_allclose(
-        materialize(projector_fix(make_rotator(2))), np.zeros((2, 2)), atol=1e-15
+        materialize(projector_fix(make_rotator(2))), np.zeros((2, 2)), rtol=0, atol=1e-15
     )
 
 
@@ -335,8 +339,8 @@ def test_projector_fixes_constants():
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
 def test_projector_is_symmetric_idempotent(R):
     p = materialize(projector_fix(R))
-    np.testing.assert_allclose(p @ p, p, atol=1e-10)
-    np.testing.assert_allclose(p.T, p, atol=1e-10)
+    np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(p.T, p, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
@@ -346,7 +350,7 @@ def test_projector_decomposition(R):
     Q = projector_fix_complement(R)
     for _ in range(8):
         x = rng.standard_normal(R.dim)
-        np.testing.assert_allclose(P.apply(x) + Q.apply(x), x, atol=1e-10)
+        np.testing.assert_allclose(P.apply(x) + Q.apply(x), x, rtol=0, atol=1e-10)
         assert (
             abs(
                 np.linalg.norm(P.apply(x)) ** 2
@@ -355,8 +359,8 @@ def test_projector_decomposition(R):
             )
             <= 1e-10 * max(1.0, np.linalg.norm(x) ** 2)
         )
-        np.testing.assert_allclose(displacement_apply(R, P.apply(x)), 0.0, atol=1e-10)
-        np.testing.assert_allclose(P.apply(displacement_apply(R, x)), 0.0, atol=1e-10)
+        np.testing.assert_allclose(displacement_apply(R, P.apply(x)), 0.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(P.apply(displacement_apply(R, x)), 0.0, rtol=0, atol=1e-10)
 
 
 # --- skew companion -----------------------------------------------------------
@@ -377,17 +381,17 @@ def test_skew_part_matrix_order_four_rotator():
     np.testing.assert_allclose(
         materialize(skew_part(make_rotator(4))),
         [[0.0, -0.5], [0.5, 0.0]],
-        atol=1e-15,
+        rtol=0, atol=1e-15,
     )
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
 def test_skew_part_properties(R):
     t = materialize(skew_part(R))
-    np.testing.assert_allclose(t.T, -t, atol=1e-10)
+    np.testing.assert_allclose(t.T, -t, rtol=0, atol=1e-10)
     comp = materialize(projector_fix_complement(R))
-    np.testing.assert_allclose(comp @ t, t, atol=1e-10)
-    np.testing.assert_allclose(t, materialize(skew_part_folded(R)), atol=1e-12)
+    np.testing.assert_allclose(comp @ t, t, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(t, materialize(skew_part_folded(R)), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
@@ -397,7 +401,7 @@ def test_double_displacement_identity(R):
     for _ in range(20):
         x = rng.standard_normal(R.dim)
         lhs = displacement_apply(R, 2.0 * T.apply(displacement_apply(R, x)))
-        np.testing.assert_allclose(lhs, x - R.apply_power(2, x), atol=1e-10)
+        np.testing.assert_allclose(lhs, x - R.apply_power(2, x), rtol=0, atol=1e-10)
 
 
 # --- pseudoinverse --------------------------------------------------------------
@@ -405,7 +409,7 @@ def test_double_displacement_identity(R):
 
 def test_pseudo_inverse_half_turn_is_half_identity():
     np.testing.assert_allclose(
-        materialize(pseudo_inverse(make_rotator(2))), 0.5 * np.eye(2), atol=1e-15
+        materialize(pseudo_inverse(make_rotator(2))), 0.5 * np.eye(2), rtol=0, atol=1e-15
     )
 
 
@@ -422,7 +426,7 @@ def test_pseudo_inverse_right_inverse_on_range():
     R = make_circular_shift(3)
     y = np.array([-2.0, 1.0, 1.0])  # components sum to zero, so y is in the range
     np.testing.assert_allclose(
-        displacement_apply(R, pseudo_inverse(R).apply(y)), y, atol=1e-12
+        displacement_apply(R, pseudo_inverse(R).apply(y)), y, rtol=0, atol=1e-12
     )
 
 
@@ -430,13 +434,13 @@ def test_pseudo_inverse_right_inverse_on_range():
 def test_moore_penrose_axioms(R):
     m_mat = materialize(displacement(R))
     d_mat = materialize(pseudo_inverse(R))
-    np.testing.assert_allclose(m_mat @ d_mat @ m_mat, m_mat, atol=1e-10)
-    np.testing.assert_allclose(d_mat @ m_mat @ d_mat, d_mat, atol=1e-10)
-    np.testing.assert_allclose((m_mat @ d_mat).T, m_mat @ d_mat, atol=1e-10)
-    np.testing.assert_allclose((d_mat @ m_mat).T, d_mat @ m_mat, atol=1e-10)
+    np.testing.assert_allclose(m_mat @ d_mat @ m_mat, m_mat, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(d_mat @ m_mat @ d_mat, d_mat, rtol=0, atol=1e-10)
+    np.testing.assert_allclose((m_mat @ d_mat).T, m_mat @ d_mat, rtol=0, atol=1e-10)
+    np.testing.assert_allclose((d_mat @ m_mat).T, d_mat @ m_mat, rtol=0, atol=1e-10)
     comp = materialize(projector_fix_complement(R))
-    np.testing.assert_allclose(m_mat @ d_mat, comp, atol=1e-10)
-    np.testing.assert_allclose(d_mat @ m_mat, comp, atol=1e-10)
+    np.testing.assert_allclose(m_mat @ d_mat, comp, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(d_mat @ m_mat, comp, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
@@ -469,7 +473,7 @@ def test_fixed_space_basis_diagonal():
     assert basis.shape == (1, 2)
     expected = np.full(2, 1 / np.sqrt(2))
     sign = np.sign(basis[0][0])
-    np.testing.assert_allclose(sign * basis[0], expected, atol=1e-12)
+    np.testing.assert_allclose(sign * basis[0], expected, rtol=0, atol=1e-12)
 
 
 def test_fixed_space_basis_block_diagonal():
@@ -477,7 +481,7 @@ def test_fixed_space_basis_block_diagonal():
     basis = R.fixed_space_basis()
     assert basis.shape == (2, 4)
     for b in basis:
-        np.testing.assert_allclose(R.apply(b), b, atol=1e-12)
+        np.testing.assert_allclose(R.apply(b), b, rtol=0, atol=1e-12)
     assert abs(basis[0] @ basis[1]) <= 1e-12
 
 
@@ -485,8 +489,8 @@ def test_fixed_space_basis_block_diagonal():
 def test_fixed_space_basis_matches_nullspace_oracle(R):
     B = R.fixed_space_basis()
     assert B.shape[0] == R.eigen_multiplicities()[0]
-    np.testing.assert_allclose(B.T @ B, oracle_projector_fix(materialize(R)), atol=1e-10)
-    np.testing.assert_allclose(B @ B.T, np.eye(B.shape[0]), atol=1e-12)
+    np.testing.assert_allclose(B.T @ B, oracle_projector_fix(materialize(R)), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(B @ B.T, np.eye(B.shape[0]), rtol=0, atol=1e-12)
 
 
 # --- set-valued inverse -------------------------------------------------------------
@@ -498,11 +502,13 @@ def test_set_valued_inverse_shift_two():
     solution = set_valued_inverse(R, y)
     # oracle: minimum-norm least-squares solution of (Id - R) x = y
     expected = np.linalg.lstsq(np.eye(2) - materialize(R), y, rcond=1e-10)[0]
-    np.testing.assert_allclose(solution.point, expected, atol=1e-12)
-    np.testing.assert_allclose(solution.point, [0.5, -0.5], atol=1e-12)
+    np.testing.assert_allclose(solution.point, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(solution.point, [0.5, -0.5], rtol=0, atol=1e-12)
     assert solution.degrees_of_freedom == 1
     sign = np.sign(solution.basis[0][0])
-    np.testing.assert_allclose(sign * solution.basis[0], np.full(2, 1 / np.sqrt(2)), atol=1e-12)
+    np.testing.assert_allclose(
+        sign * solution.basis[0], np.full(2, 1 / np.sqrt(2)), rtol=0, atol=1e-12
+    )
 
 
 def test_set_valued_inverse_rejects_fixed_vector():
@@ -516,20 +522,20 @@ def test_set_valued_inverse_rejects_tiny_fixed_vector():
 
 def test_set_valued_inverse_invertible_case():
     solution = set_valued_inverse(make_rotator(2), [2.0, 0.0])
-    np.testing.assert_allclose(solution.point, [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(solution.point, [1.0, 0.0], rtol=0, atol=1e-12)
     assert solution.basis.shape == (0, 2)
 
 
 def test_set_valued_inverse_zero_right_hand_side():
     solution = set_valued_inverse(make_circular_shift(2), [0.0, 0.0])
-    np.testing.assert_allclose(solution.point, [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(solution.point, [0.0, 0.0], rtol=0, atol=1e-15)
     assert solution.degrees_of_freedom == 1
 
 
 def test_set_valued_inverse_zero_right_hand_side_three_shift():
     # y = 0 lies in the range under the relative test: the solution set is Fix R
     solution = set_valued_inverse(make_circular_shift(3), np.zeros(3))
-    np.testing.assert_allclose(solution.point, np.zeros(3), atol=1e-15)
+    np.testing.assert_allclose(solution.point, np.zeros(3), rtol=0, atol=1e-15)
     assert solution.degrees_of_freedom == 1
 
 
@@ -544,13 +550,13 @@ def test_set_valued_inverse_solves_equation(R):
         y = comp.apply(rng.standard_normal(R.dim))
         solution = set_valued_inverse(R, y)
         assert solution is not None
-        np.testing.assert_allclose(displacement_apply(R, solution.point), y, atol=1e-9)
+        np.testing.assert_allclose(displacement_apply(R, solution.point), y, rtol=0, atol=1e-9)
         if solution.degrees_of_freedom:
             member = solution.element(rng.standard_normal(solution.degrees_of_freedom))
-            np.testing.assert_allclose(displacement_apply(R, member), y, atol=1e-9)
+            np.testing.assert_allclose(displacement_apply(R, member), y, rtol=0, atol=1e-9)
         # cross-check: minimum-norm point agrees with y/2 + (skew part) y modulo Fix R
         np.testing.assert_allclose(
-            comp.apply(pinv.apply(y) - 0.5 * y - skew.apply(y)), 0.0, atol=1e-10
+            comp.apply(pinv.apply(y) - 0.5 * y - skew.apply(y)), 0.0, rtol=0, atol=1e-10
         )
 
 

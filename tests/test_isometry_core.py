@@ -58,12 +58,12 @@ def test_apply_rejects_non_finite_vector(R, bad):
 
 def test_rotator_half_turn_negates():
     R = make_rotator(2)
-    np.testing.assert_allclose(R.apply([1.0, 0.0]), [-1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(R.apply([1.0, 0.0]), [-1.0, 0.0], rtol=0, atol=1e-15)
 
 
 def test_rotator_quarter_turn():
     R = make_rotator(4)
-    np.testing.assert_allclose(R.apply([1.0, 0.0]), [0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(R.apply([1.0, 0.0]), [0.0, 1.0], rtol=0, atol=1e-15)
 
 
 def test_rotator_order_three_roundtrip():
@@ -73,14 +73,14 @@ def test_rotator_order_three_roundtrip():
     x = np.array([0.3, -0.7])
     R = make_rotator(3)
     out = R.apply(R.apply(R.apply(x)))
-    np.testing.assert_allclose(out, oracle @ x, atol=1e-15)
-    np.testing.assert_allclose(out, x, atol=1e-12)
+    np.testing.assert_allclose(out, oracle @ x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out, x, rtol=0, atol=1e-12)
 
 
 def test_rotator_blocks_rotate_independently():
     R = make_rotator(4, blocks=2)
     np.testing.assert_allclose(
-        R.apply([1.0, 0.0, 0.0, 2.0]), [0.0, 1.0, -2.0, 0.0], atol=1e-15
+        R.apply([1.0, 0.0, 0.0, 2.0]), [0.0, 1.0, -2.0, 0.0], rtol=0, atol=1e-15
     )
 
 
@@ -114,7 +114,7 @@ def test_power_reduced_mod_order():
 
 def test_adjoint_rotator_quarter_turn():
     R = make_rotator(4)
-    np.testing.assert_allclose(R.adjoint_apply([1.0, 0.0]), [0.0, -1.0], atol=1e-15)
+    np.testing.assert_allclose(R.adjoint_apply([1.0, 0.0]), [0.0, -1.0], rtol=0, atol=1e-15)
 
 
 def test_dense_accepts_identity():
@@ -270,12 +270,12 @@ def test_isometry_properties(R):
         assert abs(np.linalg.norm(R.apply(x)) - np.linalg.norm(x)) <= 1e-12 * max(
             1.0, np.linalg.norm(x)
         )
-        np.testing.assert_allclose(repeated_apply(R, R.order, x), x, atol=1e-12)
+        np.testing.assert_allclose(repeated_apply(R, R.order, x), x, rtol=0, atol=1e-12)
         assert abs(R.apply(x) @ y - x @ R.adjoint_apply(y)) <= 1e-12 * max(
             1.0, abs(R.apply(x) @ y)
         )
         np.testing.assert_allclose(
-            R.adjoint_apply(x), repeated_apply(R, R.order - 1, x), atol=1e-12
+            R.adjoint_apply(x), repeated_apply(R, R.order - 1, x), rtol=0, atol=1e-12
         )
 
 
@@ -292,10 +292,10 @@ def test_powers_and_adjoint_match_repeated_apply(R):
     x = np.random.default_rng(m).standard_normal(R.dim)
     power = x  # R^k x by k calls of R.apply
     for k in range(m):
-        np.testing.assert_allclose(R.apply_power(k, x), power, atol=1e-12, err_msg=f"k={k}")
+        np.testing.assert_allclose(R.apply_power(k, x), power, rtol=0, atol=1e-12, err_msg=f"k={k}")
         power = R.apply(power)
-    np.testing.assert_allclose(R.apply_power(2 * m + 1, x), R.apply(x), atol=1e-12)
-    np.testing.assert_allclose(R.adjoint_apply(x), repeated_apply(R, m - 1, x), atol=1e-12)
+    np.testing.assert_allclose(R.apply_power(2 * m + 1, x), R.apply(x), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(R.adjoint_apply(x), repeated_apply(R, m - 1, x), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -310,7 +310,7 @@ def test_apply_does_not_use_the_polynomial_kernel(R, monkeypatch):
 
     monkeypatch.setattr(FiniteOrderIsometry, "apply_polynomial", broken)
     x = np.arange(R.dim, dtype=float)
-    np.testing.assert_allclose(R.apply(x), expected @ x, atol=1e-12)
+    np.testing.assert_allclose(R.apply(x), expected @ x, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(materialize(R), expected)
 
 
@@ -320,7 +320,7 @@ def test_materialized_powers_match(R):
     acc = np.eye(R.dim)
     for k in range(R.order):
         powered = R.apply_power(k, np.eye(R.dim))
-        np.testing.assert_allclose(powered, acc, atol=1e-12)
+        np.testing.assert_allclose(powered, acc, rtol=0, atol=1e-12)
         acc = mat @ acc
 
 
@@ -375,7 +375,9 @@ def test_dense_spectrum_is_lazy_cached_and_read_only():
     assert R.fixed_space_basis() is basis
     assert not basis.flags.writeable and not R.eigen_multiplicities().flags.writeable
     assert basis.base is None  # owns its data: the n x n eigenvectors are not kept alive
-    np.testing.assert_allclose(basis.T @ basis, np.kron(np.full((4, 4), 0.25), np.eye(2)), atol=1e-12)
+    np.testing.assert_allclose(
+        basis.T @ basis, np.kron(np.full((4, 4), 0.25), np.eye(2)), rtol=0, atol=1e-12
+    )
 
 
 def test_closed_form_fixed_space_bases():

@@ -33,22 +33,22 @@ def test_proximal_point_contracts_geometrically():
     x0 = np.array([1.0, 1.0])
     trajectory = proximal_point(R, 1.0, x0, max_iter=50, stop_tol=1e-14)
     for k, point in enumerate(trajectory.points[:10]):
-        np.testing.assert_allclose(point, x0 / 3.0**k, atol=1e-12)
+        np.testing.assert_allclose(point, x0 / 3.0**k, rtol=0, atol=1e-12)
     assert trajectory.converged
-    np.testing.assert_allclose(trajectory.limit_estimate, [0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(trajectory.limit_estimate, [0.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_proximal_point_shift_converges_to_average():
     trajectory = proximal_point(make_circular_shift(3), 1.0, [1.0, 2.0, 3.0])
     assert trajectory.converged
-    np.testing.assert_allclose(trajectory.limit_estimate, [2.0, 2.0, 2.0], atol=1e-8)
+    np.testing.assert_allclose(trajectory.limit_estimate, [2.0, 2.0, 2.0], rtol=0, atol=1e-8)
 
 
 def test_proximal_point_fixed_start_stops_immediately():
     trajectory = proximal_point(make_circular_shift(3), 2.0, [4.0, 4.0, 4.0])
     assert trajectory.converged
     assert trajectory.iterations_used == 1
-    np.testing.assert_allclose(trajectory.points[0], trajectory.points[1], atol=1e-13)
+    np.testing.assert_allclose(trajectory.points[0], trajectory.points[1], rtol=0, atol=1e-13)
 
 
 def test_proximal_point_respects_max_iter():
@@ -79,7 +79,7 @@ def test_fejer_monotonicity_and_limit(R):
     distances = [np.linalg.norm(p - target) for p in trajectory.points]
     for before, after in zip(distances, distances[1:]):
         assert after <= before + 1e-12
-    np.testing.assert_allclose(trajectory.limit_estimate, target, atol=1e-8)
+    np.testing.assert_allclose(trajectory.limit_estimate, target, rtol=0, atol=1e-8)
 
 
 # --- ergodic mean -----------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_ergodic_mean_at_order_equals_projection():
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal(5)
     np.testing.assert_allclose(
-        ergodic_mean(R, x0, 5), projector_fix(R).apply(x0), atol=1e-12
+        ergodic_mean(R, x0, 5), projector_fix(R).apply(x0), rtol=0, atol=1e-12
     )
 
 
@@ -121,7 +121,7 @@ def test_ergodic_mean_at_64m(R):
     rng = np.random.default_rng(15)
     x0 = rng.standard_normal(R.dim)
     np.testing.assert_allclose(
-        ergodic_mean(R, x0, 64 * R.order), projector_fix(R).apply(x0), atol=1e-10
+        ergodic_mean(R, x0, 64 * R.order), projector_fix(R).apply(x0), rtol=0, atol=1e-10
     )
 
 

@@ -41,7 +41,7 @@ def test_coefficients_order_two_unit_gamma():
 
 def test_coefficients_near_identity_for_tiny_gamma():
     c = resolvent_coefficients(3, 1e-8)
-    np.testing.assert_allclose(c, [1.0, 0.0, 0.0], atol=1e-7)
+    np.testing.assert_allclose(c, [1.0, 0.0, 0.0], rtol=0, atol=1e-7)
 
 
 def test_coefficients_strictly_decreasing():
@@ -79,17 +79,17 @@ def test_coefficients_reject_bad_gamma(bad):
 
 def test_resolvent_half_turn_scales():
     out = resolvent(make_rotator(2), 1.0).apply([3.0, 0.0])
-    np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(out, [1.0, 0.0], rtol=0, atol=1e-14)
 
 
 def test_resolvent_shift_two():
     out = resolvent(make_circular_shift(2), 1.0).apply([1.0, 0.0])
-    np.testing.assert_allclose(out, [2 / 3, 1 / 3], atol=1e-14)
+    np.testing.assert_allclose(out, [2 / 3, 1 / 3], rtol=0, atol=1e-14)
 
 
 def test_resolvent_rotator_three():
     out = resolvent(make_rotator(3), 1.0).apply([1.0, 0.0])
-    np.testing.assert_allclose(out, [5 / 14, np.sqrt(3) / 14], atol=1e-14)
+    np.testing.assert_allclose(out, [5 / 14, np.sqrt(3) / 14], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
@@ -100,7 +100,10 @@ def test_resolvent_equation(R):
             x = rng.standard_normal(R.dim)
             jx = resolvent(R, gamma).apply(x)
             np.testing.assert_allclose(
-                jx + gamma * displacement_apply(R, jx), x, atol=1e-10 * max(1.0, np.linalg.norm(x))
+                jx + gamma * displacement_apply(R, jx),
+                x,
+                rtol=0,
+                atol=1e-10 * max(1.0, np.linalg.norm(x)),
             )
 
 
@@ -122,18 +125,18 @@ def test_firm_nonexpansiveness(R):
 
 def test_inverse_resolvent_half_turn():
     out = resolvent_inverse(make_rotator(2), 2.0).apply([1.0, 0.0])
-    np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-14)
+    np.testing.assert_allclose(out, [0.5, 0.0], rtol=0, atol=1e-14)
 
 
 def test_inverse_resolvent_shift_two_matrix():
     mat = materialize(resolvent_inverse(make_circular_shift(2), 2.0))
-    np.testing.assert_allclose(mat, np.array([[1.0, -1.0], [-1.0, 1.0]]) / 4.0, atol=1e-14)
+    np.testing.assert_allclose(mat, np.array([[1.0, -1.0], [-1.0, 1.0]]) / 4.0, rtol=0, atol=1e-14)
 
 
 def test_inverse_resolvent_kills_fixed_vectors():
     R = make_circular_shift(3)
     np.testing.assert_allclose(
-        resolvent_inverse(R, 1.7).apply([2.0, 2.0, 2.0]), 0.0, atol=1e-12
+        resolvent_inverse(R, 1.7).apply([2.0, 2.0, 2.0]), 0.0, rtol=0, atol=1e-12
     )
 
 
@@ -168,13 +171,16 @@ def test_inverse_resolvent_identities(R):
             z = resolvent_inverse(R, gamma).apply(x)
             # complement identity, to rounding
             np.testing.assert_allclose(
-                z + resolvent(R, 1.0 / gamma).apply(x), x, atol=1e-14 * max(1.0, np.linalg.norm(x))
+                z + resolvent(R, 1.0 / gamma).apply(x),
+                x,
+                rtol=0,
+                atol=1e-14 * max(1.0, np.linalg.norm(x)),
             )
             # z solves x in z + gamma * inverse-displacement of z
             np.testing.assert_allclose(
-                displacement_apply(R, (x - z) / gamma), z, atol=1e-10
+                displacement_apply(R, (x - z) / gamma), z, rtol=0, atol=1e-10
             )
-            np.testing.assert_allclose(proj.apply(z), 0.0, atol=1e-10)
+            np.testing.assert_allclose(proj.apply(z), 0.0, rtol=0, atol=1e-10)
 
 
 # --- Yosida approximations -----------------------------------------------------------
@@ -182,13 +188,13 @@ def test_inverse_resolvent_identities(R):
 
 def test_yosida_half_turn_matrix():
     mat = materialize(yosida(make_rotator(2), 1.0))
-    np.testing.assert_allclose(mat, (2 / 3) * np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(mat, (2 / 3) * np.eye(2), rtol=0, atol=1e-14)
 
 
 def test_yosida_kills_fixed_vectors():
     R = make_circular_shift(2, block_dim=2)
     np.testing.assert_allclose(
-        yosida(R, 0.7).apply([1.0, -2.0, 1.0, -2.0]), 0.0, atol=1e-12
+        yosida(R, 0.7).apply([1.0, -2.0, 1.0, -2.0]), 0.0, rtol=0, atol=1e-12
     )
 
 
@@ -196,7 +202,7 @@ def test_yosida_inverse_shift_two_matrix():
     g = 1.0
     mat = materialize(yosida_inverse(make_circular_shift(2), g))
     expected = np.array([[1.0 + g, 1.0], [1.0, 1.0 + g]]) / ((2.0 + g) * g)
-    np.testing.assert_allclose(mat, expected, atol=1e-14)
+    np.testing.assert_allclose(mat, expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -222,12 +228,12 @@ def test_yosida_resolvent_consistency(R):
             np.testing.assert_allclose(
                 gamma * yosida(R, gamma).apply(x) + resolvent(R, gamma).apply(x),
                 x,
-                atol=1e-12 * max(1.0, np.linalg.norm(x)),
+                rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(x)),
             )
             np.testing.assert_allclose(
                 gamma * yosida_inverse(R, gamma).apply(x),
                 resolvent(R, 1.0 / gamma).apply(x),
-                atol=1e-12 * max(1.0, np.linalg.norm(x)),
+                rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(x)),
             )
 
 
@@ -284,14 +290,14 @@ def test_all_families_match_exact_fractions_at_extreme_gamma(m, gamma):
 def test_series_identity_operator_sums_to_input():
     x = np.array([1.0, -2.0, 0.5])
     out = series_resolvent_apply(np.eye(3), 4.2, x, 1e-12)
-    np.testing.assert_allclose(out, x, atol=1e-11)
+    np.testing.assert_allclose(out, x, rtol=0, atol=1e-11)
 
 
 def test_series_alternating_case():
     # S = -Id of order two: the series telescopes to x / (1 + 2*gamma)
     x = np.array([2.0, -1.0])
     out = series_resolvent_apply(-np.eye(2), 3.0, x, 1e-13)
-    np.testing.assert_allclose(out, x / 7.0, atol=1e-12)
+    np.testing.assert_allclose(out, x / 7.0, rtol=0, atol=1e-12)
 
 
 def test_series_matches_closed_form_rotator():
@@ -302,7 +308,7 @@ def test_series_matches_closed_form_rotator():
         np.testing.assert_allclose(
             series_resolvent_apply(R, 1.0, x, 1e-12),
             resolvent(R, 1.0).apply(x),
-            atol=1e-11,
+            rtol=0, atol=1e-11,
         )
 
 
@@ -315,7 +321,7 @@ def test_series_matches_closed_form_everywhere(R):
         np.testing.assert_allclose(
             series_resolvent_apply(R, gamma, x, 1e-12),
             resolvent(R, gamma).apply(x),
-            atol=1e-11,
+            rtol=0, atol=1e-11,
         )
 
 
@@ -325,7 +331,7 @@ def test_series_accepts_certified_dense_matrix():
     np.testing.assert_allclose(
         series_resolvent_apply(A, 1.0, x, 1e-12),
         resolvent(make_circular_shift(3), 1.0).apply(x),
-        atol=1e-11,
+        rtol=0, atol=1e-11,
     )
 
 
@@ -353,7 +359,7 @@ def test_folded_series_is_bounded_at_extreme_gamma(gamma):
     R = make_circular_shift(3)
     x = np.array([1.0, -2.0, 0.5])
     np.testing.assert_allclose(
-        series_resolvent_apply(R, gamma, x, 1e-12), resolvent(R, gamma).apply(x), atol=1e-11
+        series_resolvent_apply(R, gamma, x, 1e-12), resolvent(R, gamma).apply(x), rtol=0, atol=1e-11
     )
 
 
@@ -366,7 +372,7 @@ def test_yosida_inverse_tiny_gamma(m):
     assert abs(gamma * float(np.sum(yosida_inverse(R, gamma).coefficients)) - 1.0) <= 1e-12
     # gamma times the Yosida inverse is the resolvent at 1/gamma, i.e. the projector here
     np.testing.assert_allclose(
-        gamma * yosida_inverse(R, gamma).apply(x), projector_fix(R).apply(x), atol=1e-12
+        gamma * yosida_inverse(R, gamma).apply(x), projector_fix(R).apply(x), rtol=0, atol=1e-12
     )
     for gamma in (1e-310, 5e-324):
         with pytest.raises(NumericError, match=re.escape(f"overflow at gamma = {gamma!r}")):
@@ -403,12 +409,14 @@ def test_limit_coefficients():
     # the formula itself reaches both limits: the identity as gamma -> 0 and the
     # fixed projector (the mean of the powers) as gamma -> inf
     R = make_circular_shift(3)
-    np.testing.assert_allclose(resolvent(R, 1e-300).coefficients, [1.0, 0.0, 0.0], atol=1e-16)
     np.testing.assert_allclose(
-        resolvent(R, 1e300).coefficients, projector_fix(R).coefficients, atol=1e-16
+        resolvent(R, 1e-300).coefficients, [1.0, 0.0, 0.0], rtol=0, atol=1e-16
     )
     np.testing.assert_allclose(
-        materialize(resolvent(make_rotator(2), 1e300)), np.zeros((2, 2)), atol=1e-15
+        resolvent(R, 1e300).coefficients, projector_fix(R).coefficients, rtol=0, atol=1e-16
+    )
+    np.testing.assert_allclose(
+        materialize(resolvent(make_rotator(2), 1e300)), np.zeros((2, 2)), rtol=0, atol=1e-15
     )
 
 

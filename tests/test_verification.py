@@ -27,6 +27,22 @@ def test_battery_passes_on_reduced_grid():
     assert all(r.seed == 1 for r in reports)
 
 
+@pytest.mark.parametrize("build", [run_verification, standard_instances])
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"max_m": 1}, "max_m must be an integer >= 2, got 1"),
+        ({"max_dim": 0}, "max_dim must be an integer >= 1, got 0"),
+    ],
+    ids=["seed-negative", "seed-bool", "max_m-1", "max_dim-0"],
+)
+def test_grid_parameters_are_checked(build, kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        build(**kwargs)
+
+
 def test_standard_instances_cover_kinds_and_orders():
     grid = standard_instances(max_m=5, max_dim=16, seed=0)
     kinds = {R.kind for R in grid}
@@ -44,7 +60,7 @@ def test_conjugated_dense_keeps_order_and_spectrum():
     dense = conjugated_dense(base, rng)
     assert dense.kind == "dense" and dense.order == 4 and dense.dim == 8
     x = rng.standard_normal(8)
-    np.testing.assert_allclose(dense.apply_power(4, x), x, atol=1e-12)
+    np.testing.assert_allclose(dense.apply_power(4, x), x, rtol=0, atol=1e-12)
 
 
 def test_reproduction_rows_structure():
