@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
-Each subcommand builds its payload as plain data from the flags, and
-:func:`main` prints it as JSON (default), CSV, or a readable table.
+Each subcommand builds its payload from the flags as a dict of plain values and
+float arrays, kept as arrays, and :func:`main` prints it as JSON (default), CSV,
+or a readable table, each array turned into text a row at a time.
 The CLI parses and passes values on: every range check (gamma, orders,
 tolerances) is the library's, and so is every default: an option left out is
 left out of the library call.  ``--seed`` belongs to ``verify``, the one
@@ -157,44 +158,62 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit_csv(payload: dict) -> None:
-    lines = []
-    for key, value in payload.items():
-        if isinstance(value, list) and value and isinstance(value[0], list):
-            lines.append(f"# {key}")
-            lines.extend(",".join(_fmt(v) for v in row) for row in value)
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            columns = [c for c in value[0] if not isinstance(value[0][c], list)]
-            lines.append(f"# {key}")
-            lines.append(",".join(columns))
-            lines.extend(",".join(_fmt(row[c]) for c in columns) for row in value)
-        elif isinstance(value, list):
-            lines.append(f"{key}," + ",".join(_fmt(v) for v in value))
-        else:
-            lines.append(f"{key},{_fmt(value)}")
-    print("\n".join(lines))
+def _items(value):
+    """``value``, or the ``tolist()`` of an array: made a row or a slice at a time."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def _emit_pretty(payload: dict) -> None:
+def _is_rows(value) -> bool:
+    """A 2-d array with rows, or a list of lists or 1-d arrays: printed a row a line."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 2 and len(value) > 0
+    return isinstance(value, list) and bool(value) and isinstance(value[0], (list, np.ndarray))
+
+
+def _is_records(value) -> bool:
+    return isinstance(value, list) and bool(value) and isinstance(value[0], dict)
+
+
+def _csv_lines(payload: dict):
     for key, value in payload.items():
-        if isinstance(value, list) and value and isinstance(value[0], list):
-            print(f"{key}:")
+        if _is_rows(value):
+            yield f"# {key}"
             for row in value:
-                print("  " + "  ".join(f"{v: .12f}" for v in row))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            print(f"{key}:")
+                yield ",".join(_fmt(v) for v in _items(row))
+        elif _is_records(value):
+            columns = [c for c in value[0] if not isinstance(value[0][c], (list, np.ndarray))]
+            yield f"# {key}"
+            yield ",".join(columns)
+            for row in value:
+                yield ",".join(_fmt(row[c]) for c in columns)
+        elif isinstance(value, (list, np.ndarray)):
+            yield f"{key}," + ",".join(_fmt(v) for v in _items(value))
+        else:
+            yield f"{key},{_fmt(value)}"
+
+
+def _pretty_lines(payload: dict):
+    for key, value in payload.items():
+        if _is_rows(value):
+            yield f"{key}:"
+            for row in value:
+                yield "  " + "  ".join(f"{v: .12f}" for v in _items(row))
+        elif _is_records(value):
+            yield f"{key}:"
             for row in value:
                 status = ""
                 if "pass" in row:
                     status = "PASS  " if row["pass"] else "FAIL  "
                 detail = "  ".join(
-                    f"{c}={_fmt(v)}" for c, v in row.items() if not isinstance(v, list)
+                    f"{c}={_fmt(v)}"
+                    for c, v in row.items()
+                    if not isinstance(v, (list, np.ndarray))
                 )
-                print(f"  {status}{detail}")
-        elif isinstance(value, list):
-            print(f"{key}: " + "  ".join(_fmt(v) for v in value))
+                yield f"  {status}{detail}"
+        elif isinstance(value, (list, np.ndarray)):
+            yield f"{key}: " + "  ".join(_fmt(v) for v in _items(value))
         else:
-            print(f"{key}: {_fmt(value)}")
+            yield f"{key}: {_fmt(value)}"
 
 
 #: json's C encoder, which it uses only when ``indent`` is None
@@ -206,14 +225,23 @@ _SCALARS = frozenset((float, int, bool, type(None)))
 _SLICE = 1024
 
 
+def _is_flat(value) -> bool:
+    """A 1-d array, or a list of JSON scalars alone: encoded a slice at a time."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 1
+    return set(map(type, value)) <= _SCALARS
+
+
 def _json_chunks(value, pad: str = "\n"):
-    """Yield the text of ``json.dumps(value, indent=2)`` in pieces of at most one
-    list of scalars, or _SLICE items of a longer one.
+    """Yield the text of ``json.dumps(value, indent=2)``, where each array stands
+    for its ``tolist()``, in pieces of at most one list of scalars, or _SLICE
+    items of a longer one.
 
     ``pad`` is the newline and indentation of the line that holds ``value``.
-    Dicts, and lists holding anything but scalars, are taken apart here as
-    json's pure-Python indenting encoder does; a list of scalars goes to the C
-    encoder whole, in place of that encoder's one chunk per item.
+    Dicts, lists holding anything but scalars, and arrays of two or more axes
+    are taken apart here as json's pure-Python indenting encoder does, an array
+    row by row; a list of scalars, or a 1-d array made a list a slice at a time,
+    goes to the C encoder whole, in place of that encoder's one chunk per item.
     """
     inner = pad + "  "
     if isinstance(value, dict) and value:
@@ -225,10 +253,10 @@ def _json_chunks(value, pad: str = "\n"):
             yield from _json_chunks(item, inner)
             sep = ","
         yield pad + "}"
-    elif isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) <= _SCALARS:
+    elif isinstance(value, (list, tuple, np.ndarray)) and len(value):
+        if _is_flat(value):
             for start in range(0, len(value), _SLICE):
-                text = _encode(value[start : start + _SLICE])
+                text = _encode(_items(value[start : start + _SLICE]))
                 yield ("," if start else "[") + inner + text[1:-1].replace(", ", "," + inner)
         else:
             sep = "["
@@ -238,20 +266,20 @@ def _json_chunks(value, pad: str = "\n"):
                 sep = ","
         yield pad + "]"
     else:
-        yield _encode(value)  # a scalar, a string, or an empty list or dict
+        yield _encode(_items(value))  # a scalar, a string, or an empty list, dict or array
 
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        # the bytes of print(json.dumps(payload, indent=2)), written a chunk at a
-        # time so that the whole document is never one string
+        # the bytes of print(json.dumps(payload, indent=2)) with each array's
+        # tolist(), written a chunk at a time so that the whole document is never
+        # one string and no array is ever a list as a whole
         for chunk in _json_chunks(payload):
             sys.stdout.write(chunk)
         sys.stdout.write("\n")
-    elif fmt == "csv":
-        _emit_csv(payload)
-    else:
-        _emit_pretty(payload)
+    else:  # a line at a time, so that the whole document is never one string
+        for line in (_csv_lines if fmt == "csv" else _pretty_lines)(payload):
+            print(line)
 
 
 def _payload(args) -> dict:
@@ -262,8 +290,7 @@ def _payload(args) -> dict:
         return {"reports": [r.to_dict() for r in reports], "all_pass": all_pass}
     if args.command == "reproduce-paper":
         rows = reproduce_worked_examples(**_given(args, gamma="gamma"))
-        cases = [dict(r, matrix=r["matrix"].tolist()) for r in rows]
-        return {"cases": cases, "all_pass": all(r["pass"] for r in rows)}
+        return {"cases": rows, "all_pass": all(r["pass"] for r in rows)}
 
     R = _instance(args)
     if args.command == "show":
@@ -271,16 +298,16 @@ def _payload(args) -> dict:
             "kind": R.kind,
             "m": R.order,
             "dim": R.dim,
-            "isometry": materialize(R).tolist(),
-            "fixed_projector": materialize(projector_fix(R)).tolist(),
-            "skew_part": materialize(skew_part(R)).tolist(),
-            "pseudo_inverse": materialize(pseudo_inverse(R)).tolist(),
+            "isometry": materialize(R),
+            "fixed_projector": materialize(projector_fix(R)),
+            "skew_part": materialize(skew_part(R)),
+            "pseudo_inverse": materialize(pseudo_inverse(R)),
         }
     if args.command == "solve":
         solution = set_valued_inverse(R, load_vector(args.rhs), **_given(args, tol="tol"))
         if solution is None:
             return {"message": "not in range of M"}
-        return {"point": solution.point.tolist(), "basis": solution.basis.tolist()}
+        return {"point": solution.point, "basis": solution.basis}
     if args.command == "iterate":
         return proximal_point(
             R, args.gamma, load_vector(args.x0), **_given(args, max_iter="max_iter", stop_tol="tol")
@@ -292,11 +319,11 @@ def _payload(args) -> dict:
         name = args.command + ("_inverse" if args.inverse else "")
         op = OPERATOR_BUILDERS[name](R, args.gamma)
         payload = {"operator": name, "gamma": float(args.gamma)}
-    payload.update(m=op.order, coefficients=op.coefficients.tolist())
+    payload.update(m=op.order, coefficients=op.coefficients)
     if args.materialize:
-        payload["matrix"] = materialize(op).tolist()
+        payload["matrix"] = materialize(op)
     if args.apply:
-        payload["result"] = op.apply(load_vector(args.apply)).tolist()
+        payload["result"] = op.apply(load_vector(args.apply))
     return payload
 
 

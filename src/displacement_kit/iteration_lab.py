@@ -24,10 +24,12 @@ class Trajectory:
     iterations_used: int
 
     def to_dict(self) -> dict:
+        """The fields by name, the arrays as they are: no copy of the history is
+        made, and the CLI turns each iterate into text on its own."""
         return {
-            "points": [p.tolist() for p in self.points],
+            "points": list(self.points),
             "residuals": [float(r) for r in self.residuals],
-            "limit_estimate": self.limit_estimate.tolist(),
+            "limit_estimate": self.limit_estimate,
             "converged": self.converged,
             "iterations_used": self.iterations_used,
         }

@@ -370,13 +370,13 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
 
     # --- asymptotics --------------------------------------------------------
     small_gamma, large_gamma, oracle_limits = [], [], []
-    for R in instances:
+    for R, fix_oracle in zip(instances, fix_oracles):
         mat = materialize(R)
         proj = projector_fix(R)
         near_zero = [(gamma, resolvent(R, gamma)) for gamma in (1e-3, 1e-5)]
         near_infinity = [(gamma, resolvent(R, gamma)) for gamma in (1e3, 1e5)]
         oracle_limits.append(_max_abs(oracle_resolvent(mat, 1e-6) - np.eye(R.dim)))
-        oracle_limits.append(_max_abs(oracle_resolvent(mat, 1e6) - oracle_projector_fix(mat)))
+        oracle_limits.append(_max_abs(oracle_resolvent(mat, 1e6) - fix_oracle))
         for x in _vector_then_block(_unit_block(rng, R.dim, 4)):
             px = proj.apply(x)
             for gamma, res in near_zero:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from displacement_kit import ParameterError, make_circular_shift, materialize
 from displacement_kit.cli import _SLICE, _emit, build_parser, main
 from displacement_kit.displacement_calculus import RANGE_MEMBERSHIP_TOL
 from displacement_kit.isometry_core import DEFAULT_VALIDATION_TOL
-from displacement_kit.io_utils import save_matrix, save_vector
+from io_helpers import save_matrix, save_vector
 
 
 def run(capsys, *argv):
@@ -92,7 +93,7 @@ def test_show_emits_all_operators(capsys):
     code, data, _ = run_json(capsys, "show", "--kind", "shift", "--m", "3")
     assert code == 0
     assert set(data) >= {"kind", "m", "dim", "isometry", "fixed_projector", "skew_part", "pseudo_inverse"}
-    np.testing.assert_allclose(data["fixed_projector"], np.full((3, 3), 1 / 3))
+    np.testing.assert_allclose(data["fixed_projector"], np.full((3, 3), 1 / 3), rtol=0, atol=1e-15)
 
 
 def test_solve_not_in_range(capsys, tmp_path):
@@ -131,7 +132,7 @@ def test_iterate_json_and_csv(capsys, tmp_path):
     )
     assert code == 0
     residuals = [float(line) for line in out.strip().splitlines()]
-    np.testing.assert_allclose(residuals, data["residuals"])
+    assert residuals == data["residuals"]  # .17g round-trips every float
 
 
 def test_dense_file_instance(capsys, tmp_path):
@@ -489,6 +490,17 @@ def _json_commands(tmp_path):
     }
 
 
+def _listed(value):
+    """``value`` with every array replaced by its ``tolist()``: the data the CLI prints."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _listed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_listed(item) for item in value]
+    return value
+
+
 @pytest.fixture
 def payloads(monkeypatch):
     """The payloads that ``cli._emit`` receives, which still prints them."""
@@ -511,7 +523,7 @@ def test_json_output_is_byte_identical_to_dumps(capsys, tmp_path, payloads):
         code, out, err = run(capsys, *argv)
         assert code == 0, (name, err)
         assert len(payloads) == 1, name
-        assert out == json.dumps(payloads[0], indent=2) + "\n", name
+        assert out == json.dumps(_listed(payloads[0]), indent=2) + "\n", name
 
 
 def test_iterate_json_with_rows_longer_than_a_slice_is_byte_identical(capsys, tmp_path, payloads):
@@ -524,12 +536,12 @@ def test_iterate_json_with_rows_longer_than_a_slice_is_byte_identical(capsys, tm
     )
     assert code == 0, err
     assert len(payloads[0]["points"][0]) == 1050 > _SLICE
-    assert out == json.dumps(payloads[0], indent=2) + "\n"
+    assert out == json.dumps(_listed(payloads[0]), indent=2) + "\n"
 
 
-def _emitted(payload) -> str:
+def _emitted(payload, fmt: str = "json") -> str:
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        _emit(payload, "json")
+        _emit(payload, fmt)
     return out.getvalue()
 
 
@@ -597,6 +609,100 @@ def test_json_emission_writes_one_slice_at_a_time(monkeypatch):
     assert len(stdout.lengths) >= 2000 * 2  # each row is two slices
 
 
+def _array_payloads() -> dict:
+    rng = np.random.default_rng(11)
+    specials = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, -1e-7, 1e300])
+    return {
+        "vector and matrix": {"m": 3, "vector": rng.standard_normal(7), "matrix": np.eye(3)},
+        "special floats": {"vector": specials, "matrix": specials.reshape(3, 3)},
+        "empty basis": {"point": rng.standard_normal(4), "basis": np.empty((0, 4))},
+        "no columns": {"vector": np.empty(0), "matrix": np.empty((2, 0))},
+        "rows about a slice long": {
+            f"n{n}": rng.standard_normal((2, n)) for n in (_SLICE - 1, _SLICE, _SLICE + 1)
+        },
+        "list of vectors": {
+            "points": [rng.standard_normal(n) for n in (3, _SLICE + 1, 1)],
+            "residuals": [0.5, 0.25],
+            "limit_estimate": rng.standard_normal(3),
+        },
+        "records with a matrix": {
+            "cases": [
+                {"kind": "shift", "m": 2, "matrix": rng.standard_normal((2, 2)), "pass": True},
+                {"kind": "rotator", "m": 3, "matrix": rng.standard_normal((2, 2)), "pass": False},
+            ],
+            "all_pass": False,
+        },
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("name", list(_array_payloads()))
+def test_arrays_print_byte_for_byte_as_their_tolist(fmt, name):
+    payload = _array_payloads()[name]
+    listed = _listed(payload)
+    if fmt == "json":
+        expected = json.dumps(listed, indent=2) + "\n"
+    else:  # the text of the same payload with plain lists
+        expected = _emitted(listed, fmt)
+    assert _emitted(payload, fmt) == expected
+
+
+class _Discard:
+    """A standard output that keeps nothing, so that only the emitter's memory is traced."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _traced_peak(call) -> int:
+    """The peak bytes that ``call()`` holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "fmt, shape", [("json", (2000, 500)), ("csv", (400, 250)), ("pretty", (400, 250))]
+)
+def test_emitting_an_array_holds_a_row_not_the_array(monkeypatch, fmt, shape):
+    # the tolist() of the whole array takes 4x its 8 MB (json) or 0.8 MB, and the
+    # whole CSV document of random entries 2 MB; a row takes a few tens of KB.
+    # The json array is zeros, whose text is the quickest to make (every entry
+    # takes the same path); tracemalloc makes each allocation some ten times slower.
+    matrix = np.zeros(shape) if fmt == "json" else np.random.default_rng(2).standard_normal(shape)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    assert _traced_peak(lambda: _emit({"matrix": matrix}, fmt)) < 1e6
+
+
+def test_iterate_peaks_within_half_again_its_trajectory(monkeypatch, tmp_path):
+    x0 = tmp_path / "x0.json"
+    save_vector(x0, np.random.default_rng(3).standard_normal(300))
+    trajectory_bytes, codes = [], []
+    emit = cli._emit
+
+    def measuring_emit(payload, fmt):
+        trajectory_bytes.append(sum(p.nbytes for p in payload["points"]))
+        emit(payload, fmt)
+
+    monkeypatch.setattr(cli, "_emit", measuring_emit)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    argv = [
+        "iterate", "--kind", "shift", "--m", "3", "--block-dim", "100", "--gamma", "0.02",
+        "--x0", str(x0), "--tol", "1e-14",
+    ]
+    peak = _traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    (held,) = trajectory_bytes
+    assert held > 2e6  # about a thousand iterates of 300 entries
+    # the iterates as Python floats would take 4x their bytes; each array's header
+    # and the parser's first use make up most of the rest
+    assert peak < 1.5 * held
+
+
 SHOW_KEYS = ["kind", "m", "dim", "isometry", "fixed_projector", "skew_part", "pseudo_inverse"]
 #: the key paths of each payload in the order the CLI prints them; ``key[].field``
 #: stands for the field of every row of a list of dicts
@@ -624,7 +730,10 @@ PAYLOAD_KEYS = {
 
 
 def _plain(value) -> bool:
-    """True when ``value`` holds only dict, list, str, int, float and bool (no numpy scalar)."""
+    """True when ``value`` holds only dict, list, str, int, float, bool and float64
+    arrays of one or two axes (no numpy scalar, no other array)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == np.float64 and value.ndim in (1, 2)
     if isinstance(value, dict):
         return all(type(key) is str and _plain(v) for key, v in value.items())
     if isinstance(value, list):
@@ -657,3 +766,7 @@ def test_every_payload_is_plain_json_in_pinned_key_order(capsys, tmp_path, paylo
         assert len(payloads) == 1, name
         assert _plain(payloads[0]), name
         assert _key_paths(payloads[0]) == PAYLOAD_KEYS[name], name
+        if fmt == "json":  # what is printed holds no array, in the same key order
+            printed = json.loads(out)
+            assert _plain(printed) and printed == _listed(payloads[0]), name
+            assert _key_paths(printed) == PAYLOAD_KEYS[name], name

@@ -44,7 +44,7 @@ def test_displacement_half_turn_doubles():
 
 def test_displacement_shift():
     R = make_circular_shift(3)
-    np.testing.assert_allclose(displacement_apply(R, [1.0, 2.0, 3.0]), [-2.0, 1.0, 1.0])
+    np.testing.assert_array_equal(displacement_apply(R, [1.0, 2.0, 3.0]), [-2.0, 1.0, 1.0])
 
 
 def test_displacement_range_orthogonal_to_diagonal():
@@ -62,19 +62,19 @@ def test_displacement_range_orthogonal_to_diagonal():
 def test_identity_polynomial_is_identity():
     R = make_circular_shift(3)
     x = np.array([4.0, -1.0, 2.0])
-    np.testing.assert_allclose(PolynomialOperator.identity(R).apply(x), x)
+    np.testing.assert_array_equal(PolynomialOperator.identity(R).apply(x), x)
 
 
 def test_single_power_polynomial():
     R = make_circular_shift(3)
     P = PolynomialOperator(R, [0.0, 1.0, 0.0])
-    np.testing.assert_allclose(P.apply([1.0, 2.0, 3.0]), [3.0, 1.0, 2.0])
+    np.testing.assert_array_equal(P.apply([1.0, 2.0, 3.0]), [3.0, 1.0, 2.0])
 
 
 def test_averaging_polynomial():
     R = make_circular_shift(3)
     P = PolynomialOperator(R, [1 / 3, 1 / 3, 1 / 3])
-    np.testing.assert_allclose(P.apply([1.0, 2.0, 3.0]), [2.0, 2.0, 2.0])
+    np.testing.assert_allclose(P.apply([1.0, 2.0, 3.0]), [2.0, 2.0, 2.0], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
@@ -280,7 +280,7 @@ def test_compose_is_cyclic_convolution():
     full = np.convolve(a.coefficients, b.coefficients)
     expected = full[:4].copy()
     expected[:3] += full[4:]
-    np.testing.assert_allclose((a @ b).coefficients, expected)
+    np.testing.assert_allclose((a @ b).coefficients, expected, rtol=0, atol=1e-14)
 
 
 def test_addition_and_scaling():
@@ -291,7 +291,7 @@ def test_addition_and_scaling():
     np.testing.assert_allclose((a + b).apply(x), a.apply(x) + b.apply(x), rtol=0, atol=1e-14)
     np.testing.assert_allclose((a - b).apply(x), a.apply(x) - b.apply(x), rtol=0, atol=1e-14)
     np.testing.assert_allclose((2.0 * a).apply(x), 2.0 * a.apply(x), rtol=0, atol=1e-14)
-    np.testing.assert_allclose((-a).coefficients, [-1.0, -2.0, -3.0])
+    np.testing.assert_array_equal((-a).coefficients, [-1.0, -2.0, -3.0])
 
 
 def test_operations_reject_mismatched_operators():
@@ -328,12 +328,12 @@ def test_projector_vanishes_for_half_turn():
 
 def test_projector_averages_shift():
     P = projector_fix(make_circular_shift(3))
-    np.testing.assert_allclose(P.apply([1.0, 2.0, 3.0]), [2.0, 2.0, 2.0])
+    np.testing.assert_allclose(P.apply([1.0, 2.0, 3.0]), [2.0, 2.0, 2.0], rtol=0, atol=1e-14)
 
 
 def test_projector_fixes_constants():
     P = projector_fix(make_circular_shift(4))
-    np.testing.assert_allclose(P.apply([2.5] * 4), [2.5] * 4)
+    np.testing.assert_allclose(P.apply([2.5] * 4), [2.5] * 4, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
@@ -367,13 +367,13 @@ def test_projector_decomposition(R):
 
 
 def test_skew_part_vanishes_for_order_two():
-    np.testing.assert_allclose(skew_part(make_rotator(2)).coefficients, [0.0, 0.0])
-    np.testing.assert_allclose(skew_part(make_circular_shift(2)).coefficients, [0.0, 0.0])
+    np.testing.assert_array_equal(skew_part(make_rotator(2)).coefficients, [0.0, 0.0])
+    np.testing.assert_array_equal(skew_part(make_circular_shift(2)).coefficients, [0.0, 0.0])
 
 
 def test_skew_part_coefficients_order_three():
     np.testing.assert_allclose(
-        skew_part(make_circular_shift(3)).coefficients, [0.0, 1 / 6, -1 / 6]
+        skew_part(make_circular_shift(3)).coefficients, [0.0, 1 / 6, -1 / 6], rtol=0, atol=1e-15
     )
 
 
@@ -415,10 +415,15 @@ def test_pseudo_inverse_half_turn_is_half_identity():
 
 def test_pseudo_inverse_coefficients():
     np.testing.assert_allclose(
-        pseudo_inverse(make_circular_shift(3)).coefficients, [1 / 3, 0.0, -1 / 3]
+        pseudo_inverse(make_circular_shift(3)).coefficients,
+        [1 / 3, 0.0, -1 / 3],
+        rtol=0,
+        atol=1e-15,
     )
     np.testing.assert_allclose(
-        pseudo_inverse(make_rotator(4)).coefficients, [3 / 8, 1 / 8, -1 / 8, -3 / 8]
+        pseudo_inverse(make_rotator(4)).coefficients, [3 / 8, 1 / 8, -1 / 8, -3 / 8],
+        rtol=0,
+        atol=1e-15,
     )
 
 

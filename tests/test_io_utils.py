@@ -7,14 +7,15 @@ import pytest
 
 from displacement_kit import ParameterError
 from displacement_kit.cli import main
-from displacement_kit.io_utils import load_matrix, load_vector, save_matrix, save_vector
+from displacement_kit.io_utils import load_matrix, load_vector
+from io_helpers import save_matrix, save_vector
 
 
 def test_matrix_json_round_trip(tmp_path):
     path = tmp_path / "mat.json"
     a = np.array([[1.0, 2.5], [-3.0, 0.125]])
     save_matrix(path, a)
-    np.testing.assert_allclose(load_matrix(path), a)
+    np.testing.assert_array_equal(load_matrix(path), a)
     # the file really is arrays-of-rows JSON
     assert json.loads(path.read_text()) == [[1.0, 2.5], [-3.0, 0.125]]
 
@@ -23,7 +24,7 @@ def test_matrix_csv_round_trip(tmp_path):
     path = tmp_path / "mat.csv"
     a = np.array([[1.0, 1 / 3], [2.0, -0.7]])
     save_matrix(path, a)
-    np.testing.assert_allclose(load_matrix(path), a)
+    np.testing.assert_array_equal(load_matrix(path), a)
     assert "." in path.read_text()  # '.' decimal separator, row-major lines
 
 
@@ -33,20 +34,20 @@ def test_vector_round_trips(tmp_path):
     cpath = tmp_path / "v.csv"
     save_vector(jpath, v)
     save_vector(cpath, v)
-    np.testing.assert_allclose(load_vector(jpath), v)
-    np.testing.assert_allclose(load_vector(cpath), v)
+    np.testing.assert_array_equal(load_vector(jpath), v)
+    np.testing.assert_array_equal(load_vector(cpath), v)
 
 
 def test_vector_accepts_csv_column(tmp_path):
     path = tmp_path / "col.csv"
     path.write_text("1.0\n2.0\n3.0\n")
-    np.testing.assert_allclose(load_vector(path), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(load_vector(path), [1.0, 2.0, 3.0])
 
 
 def test_vector_accepts_single_entry(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("4.25\n")
-    np.testing.assert_allclose(load_vector(path), [4.25])
+    np.testing.assert_array_equal(load_vector(path), [4.25])
 
 
 def test_load_matrix_missing_file_names_path(tmp_path):
@@ -152,7 +153,7 @@ def test_affine_subspace_wire_schema(capsys, tmp_path):
     save_vector(rhs, [1.0, -1.0])
     data = _cli_json(capsys, "solve", "--kind", "shift", "--m", "2", "--rhs", str(rhs))
     assert set(data) == {"point", "basis"}
-    np.testing.assert_allclose(data["point"], [0.5, -0.5])
+    np.testing.assert_allclose(data["point"], [0.5, -0.5], rtol=0, atol=1e-15)
     assert len(data["basis"]) == 1 and len(data["basis"][0]) == 2
     # point and basis are the JSON vector and matrix formats the loaders read
     point, basis = tmp_path / "point.json", tmp_path / "basis.json"

@@ -86,30 +86,30 @@ def test_rotator_blocks_rotate_independently():
 
 def test_shift_basic():
     R = make_circular_shift(3)
-    np.testing.assert_allclose(R.apply([1.0, 2.0, 3.0]), [3.0, 1.0, 2.0])
+    np.testing.assert_array_equal(R.apply([1.0, 2.0, 3.0]), [3.0, 1.0, 2.0])
 
 
 def test_shift_block_swap():
     R = make_circular_shift(2, block_dim=2)
-    np.testing.assert_allclose(R.apply([1.0, 2.0, 3.0, 4.0]), [3.0, 4.0, 1.0, 2.0])
+    np.testing.assert_array_equal(R.apply([1.0, 2.0, 3.0, 4.0]), [3.0, 4.0, 1.0, 2.0])
 
 
 def test_shift_order_two_roundtrip():
     R = make_circular_shift(2)
-    np.testing.assert_allclose(R.apply(R.apply([5.0, 7.0])), [5.0, 7.0])
+    np.testing.assert_array_equal(R.apply(R.apply([5.0, 7.0])), [5.0, 7.0])
 
 
 def test_shift_matches_permutation_matrix():
     R = make_circular_shift(4, block_dim=3)
-    np.testing.assert_allclose(materialize(R), shift_matrix(4, 3))
+    np.testing.assert_array_equal(materialize(R), shift_matrix(4, 3))
 
 
 def test_power_reduced_mod_order():
     R = make_circular_shift(3)
     x = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(R.apply_power(5, x), R.apply_power(2, x))
-    np.testing.assert_allclose(R.apply_power(2, x), [2.0, 3.0, 1.0])
-    np.testing.assert_allclose(R.apply_power(0, x), x)
+    np.testing.assert_array_equal(R.apply_power(5, x), R.apply_power(2, x))
+    np.testing.assert_array_equal(R.apply_power(2, x), [2.0, 3.0, 1.0])
+    np.testing.assert_array_equal(R.apply_power(0, x), x)
 
 
 def test_adjoint_rotator_quarter_turn():
@@ -124,7 +124,7 @@ def test_dense_accepts_identity():
 
 def test_dense_accepts_quarter_rotation():
     R = make_dense([[0.0, -1.0], [1.0, 0.0]], 4, 1e-12)
-    np.testing.assert_allclose(R.apply([1.0, 0.0]), [0.0, 1.0])
+    np.testing.assert_array_equal(R.apply([1.0, 0.0]), [0.0, 1.0])
 
 
 def test_dense_rejects_non_isometry():
@@ -256,7 +256,9 @@ def test_argument_checks_accept_numpy_scalars():
     R = make_rotator(np.int64(3), blocks=np.int32(2))
     assert R.dim == 4
     assert make_dense(np.eye(2), 2, tol=np.float32(1e-6)).dim == 2
-    np.testing.assert_allclose(resolvent_coefficients(2, np.float64(1.0)), [2 / 3, 1 / 3])
+    np.testing.assert_allclose(
+        resolvent_coefficients(2, np.float64(1.0)), [2 / 3, 1 / 3], rtol=0, atol=1e-15
+    )
     trajectory = proximal_point(SHIFT3, 1.0, [1.0, 0.0, 0.0], max_iter=np.int64(2), stop_tol=0)
     assert trajectory.iterations_used == 2
 

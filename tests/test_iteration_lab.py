@@ -96,14 +96,16 @@ def test_ergodic_mean_at_order_equals_projection():
 
 def test_ergodic_mean_two_steps():
     np.testing.assert_allclose(
-        ergodic_mean(make_circular_shift(2), [1.0, 0.0], 2), [0.5, 0.5]
+        ergodic_mean(make_circular_shift(2), [1.0, 0.0], 2), [0.5, 0.5], rtol=0, atol=1e-15
     )
 
 
 def test_ergodic_mean_fixed_vector_any_length():
     R = make_circular_shift(3)
     for n in (1, 2, 7, 30):
-        np.testing.assert_allclose(ergodic_mean(R, [2.0, 2.0, 2.0], n), [2.0, 2.0, 2.0])
+        np.testing.assert_allclose(
+            ergodic_mean(R, [2.0, 2.0, 2.0], n), [2.0, 2.0, 2.0], rtol=0, atol=1e-14
+        )
 
 
 def test_ergodic_mean_decays_like_m_over_n():

@@ -86,10 +86,14 @@ def test_reference_case_listing():
 def test_reference_entries_are_the_printed_formulas():
     g = 0.7
     rot2 = rotator_closed_forms(2, g)
-    np.testing.assert_allclose(rot2["resolvent"], np.eye(2) / (1 + 2 * g))
-    np.testing.assert_allclose(rot2["resolvent_inverse"], np.eye(2) * 2 / (2 + g))
-    np.testing.assert_allclose(rot2["yosida"], np.eye(2) * 2 / (1 + 2 * g))
-    np.testing.assert_allclose(rot2["yosida_inverse"], np.eye(2) / (2 + g))
+    expected = {
+        "resolvent": np.eye(2) / (1 + 2 * g),
+        "resolvent_inverse": np.eye(2) * 2 / (2 + g),
+        "yosida": np.eye(2) * 2 / (1 + 2 * g),
+        "yosida_inverse": np.eye(2) / (2 + g),
+    }
+    for name, matrix in expected.items():
+        np.testing.assert_allclose(rot2[name], matrix, rtol=0, atol=1e-15)
 
     sh3 = shift_closed_forms(3, g)
     denom = 1 + 3 * g + 3 * g * g
