@@ -218,8 +218,8 @@ def _pretty_lines(payload: dict):
 
 #: json's C encoder, which it uses only when ``indent`` is None
 _encode = json.JSONEncoder().encode
-#: the types of the JSON scalars: no JSON text of them holds ", ", so a list of
-#: them alone is encoded in one call and laid out by replacing its separators
+#: the types of the JSON scalars: a list of them alone is indented only between
+#: its items, so one call of an encoder with that item separator lays it out
 _SCALARS = frozenset((float, int, bool, type(None)))
 #: items per chunk of a list of scalars, so that a long vector is not one string
 _SLICE = 1024
@@ -241,7 +241,8 @@ def _json_chunks(value, pad: str = "\n"):
     Dicts, lists holding anything but scalars, and arrays of two or more axes
     are taken apart here as json's pure-Python indenting encoder does, an array
     row by row; a list of scalars, or a 1-d array made a list a slice at a time,
-    goes to the C encoder whole, in place of that encoder's one chunk per item.
+    goes to the C encoder whole, in place of that encoder's one chunk per item,
+    with the newline and indentation in its item separator.
     """
     inner = pad + "  "
     if isinstance(value, dict) and value:
@@ -255,9 +256,10 @@ def _json_chunks(value, pad: str = "\n"):
         yield pad + "}"
     elif isinstance(value, (list, tuple, np.ndarray)) and len(value):
         if _is_flat(value):
+            encode = json.JSONEncoder(separators=("," + inner, ": ")).encode  # C, no indent
             for start in range(0, len(value), _SLICE):
-                text = _encode(_items(value[start : start + _SLICE]))
-                yield ("," if start else "[") + inner + text[1:-1].replace(", ", "," + inner)
+                text = encode(_items(value[start : start + _SLICE]))
+                yield ("," if start else "[") + inner + text[1:-1]
         else:
             sep = "["
             for item in value:

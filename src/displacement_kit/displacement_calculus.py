@@ -32,8 +32,10 @@ _ORTHONORMALITY_TOL = 1e-10
 class PolynomialOperator:
     """A linear operator sum_{k=0}^{m-1} c_k R^k bound to a finite-order isometry R.
 
-    Application is :meth:`FiniteOrderIsometry.apply_polynomial`, whose cost
-    depends on the kind of R: O(n + m) for a rotator, O(m n) up to
+    Application is the kernel of :meth:`FiniteOrderIsometry.apply_polynomial`,
+    prepared once, on the first :meth:`apply` (threads that race there prepare
+    equal kernels), from ``coefficients``, a read-only copy of those given.  Its
+    cost depends on the kind of R: O(n + m) for a rotator, O(m n) up to
     SHIFT_CIRCULANT_MAX_ORDER and O(n log m) above it for a circular shift, and
     ceil(m/2) matvecs for a dense matrix (Horner in A^2 over the pairs of
     coefficients); n becomes nB for an (n, B) block, and the matvecs GEMMs.
@@ -41,11 +43,13 @@ class PolynomialOperator:
     convolution of their coefficients, and any two of them commute.
     """
 
-    __slots__ = ("operator", "coefficients")
+    __slots__ = ("operator", "coefficients", "_kernel")
 
     def __init__(self, operator: FiniteOrderIsometry, coefficients):
         self.operator = operator
         self.coefficients = _check_array(coefficients, "coefficients", (operator.order,)).copy()
+        self.coefficients.flags.writeable = False
+        self._kernel = None
 
     @property
     def order(self) -> int:
@@ -58,6 +62,9 @@ class PolynomialOperator:
     def __repr__(self) -> str:
         return f"PolynomialOperator(m={self.order}, coefficients={self.coefficients!r})"
 
+    def __reduce__(self):  # pickled without its kernel, a closure made again on use
+        return PolynomialOperator, (self.operator, self.coefficients)
+
     @classmethod
     def identity(cls, operator: FiniteOrderIsometry) -> "PolynomialOperator":
         c = np.zeros(operator.order)
@@ -66,15 +73,16 @@ class PolynomialOperator:
 
     def apply(self, x) -> np.ndarray:
         """Evaluate sum_k c_k R^k x with the kernel for the kind of R; x may be an (n, B) block."""
-        return self.operator.apply_polynomial(self.coefficients, x)
+        if self._kernel is None:
+            self._kernel = self.operator._polynomial_kernel(self.coefficients)
+        return self._kernel(_as_operand(x, self.dim))
 
     def operator_norm(self) -> float:
         """Exact operator norm: max |p(w^j)| over the eigenvalues w^j that R has.
 
         R is normal, so p(R) is too and its norm is the largest modulus of its
         symbol p(w^j) = sum_k c_k w^{jk} = m * ifft(c)[j] on the spectrum of R.
-        O(m log m) after the multiplicities; not cached, because
-        ``coefficients`` may be changed in place.
+        O(m log m) after the multiplicities.
         """
         symbol = self.order * np.fft.ifft(self.coefficients)
         return float(np.max(np.abs(symbol[self.operator.eigen_multiplicities() > 0])))
@@ -200,16 +208,15 @@ def skew_part(R: FiniteOrderIsometry) -> PolynomialOperator:
     single coefficient vanishes, giving the zero operator.
     """
     m = R.order
-    c = np.zeros(m)
-    for k in range(1, m):
-        c[k] = (m - 2 * k) / (2 * m)
+    c = (m - 2 * np.arange(m)) / (2 * m)  # int64 over int: correctly rounded, as in Python
+    c[0] = 0.0
     return PolynomialOperator(R, c)
 
 
 def pseudo_inverse(R: FiniteOrderIsometry) -> PolynomialOperator:
     """Moore-Penrose inverse of the displacement Id - R: c_k = (m - 1 - 2k)/(2m)."""
     m = R.order
-    c = np.array([(m - 1 - 2 * k) / (2 * m) for k in range(m)])
+    c = (m - 1 - 2 * np.arange(m)) / (2 * m)
     return PolynomialOperator(R, c)
 
 

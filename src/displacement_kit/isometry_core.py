@@ -223,7 +223,8 @@ class FiniteOrderIsometry:
         if self.kind == ROTATOR:
             return self._rotate(v, self._cos, self._sin)
         if self.kind == CIRCULAR_SHIFT:
-            return np.roll(self._blocks(v), 1, axis=0).reshape(v.shape)
+            blocks = self._blocks(v)
+            return np.concatenate((blocks[-1:], blocks[:-1])).reshape(v.shape)
         return self._matrix @ v
 
     def adjoint_apply(self, x) -> np.ndarray:
@@ -239,6 +240,16 @@ class FiniteOrderIsometry:
     def apply_polynomial(self, coefficients, x) -> np.ndarray:
         """Return sum_k c_k R^k x for the coefficients (c_0, ..., c_{m-1}); x may be a block.
 
+        The kernel of :meth:`_polynomial_kernel` is prepared for this one call; a
+        :class:`PolynomialOperator` prepares it once for all of its applications.
+        """
+        c = _check_array(coefficients, "coefficients", (self.order,))
+        return self._polynomial_kernel(c)(_as_operand(x, self.dim))
+
+    def _polynomial_kernel(self, c: np.ndarray):
+        """v -> sum_k c_k R^k v for an operand checked by :func:`_as_operand`, with the
+        work on ``c`` alone done here; ``c`` must not change while the kernel is used.
+
         Rotator: the scalar z = sum_k c_k w^k, w = cos + i sin, by Horner, then
         a I + b J with a + ib = z on each 2x2 block.  Shift: the circulant
         C[i, j] = c[(i - j) mod m] applied along the block axis, as a matrix
@@ -247,32 +258,35 @@ class FiniteOrderIsometry:
         the stored square A^2: ceil(m/2) products in place of Horner's m-1, at the
         price of one more operand-sized temporary (u).
         """
-        c = _check_array(coefficients, "coefficients", (self.order,))
-        v = _as_operand(x, self.dim)
+        m = self.order
         if self.kind == ROTATOR:
             w = complex(self._cos, self._sin)
             z = 0j
             for ck in c[::-1].tolist():
                 z = z * w + ck
-            return self._rotate(v, z.real, z.imag)
+            return lambda v: self._rotate(v, z.real, z.imag)
         if self.kind == CIRCULAR_SHIFT:
-            m = self.order
-            blocks = self._blocks(v)
             if m <= SHIFT_CIRCULANT_MAX_ORDER:
-                index = (np.arange(m)[:, None] - np.arange(m)) % m
-                return (c[index] @ blocks).reshape(v.shape)
-            spectrum = np.fft.rfft(c)[:, None] * np.fft.rfft(blocks, axis=0)
-            return np.fft.irfft(spectrum, n=m, axis=0).reshape(v.shape)
-        u = self._matrix @ v
-        top = 2 * ((self.order - 1) // 2)  # the last even index; c[top + 1] may not exist
-        acc = c[top] * v
-        if top + 1 < self.order:
-            acc += c[top + 1] * u
-        for j in range(top - 2, -1, -2):
-            acc = self._square @ acc
-            acc += c[j] * v
-            acc += c[j + 1] * u
-        return acc
+                circulant = c[(np.arange(m)[:, None] - np.arange(m)) % m]
+                return lambda v: (circulant @ self._blocks(v)).reshape(v.shape)
+            symbol = np.fft.rfft(c)[:, None]
+            return lambda v: np.fft.irfft(
+                symbol * np.fft.rfft(self._blocks(v), axis=0), n=m, axis=0
+            ).reshape(v.shape)
+        top = 2 * ((m - 1) // 2)  # the last even index; c[top + 1] may not exist
+
+        def dense(v):
+            u = self._matrix @ v
+            acc = c[top] * v
+            if top + 1 < m:
+                acc += c[top + 1] * u
+            for j in range(top - 2, -1, -2):
+                acc = self._square @ acc
+                acc += c[j] * v
+                acc += c[j + 1] * u
+            return acc
+
+        return dense
 
     def eigen_multiplicities(self) -> np.ndarray:
         """mult[j], the multiplicity of the eigenvalue e^{2*pi*i*j/m} of R, for j < m.

@@ -3,6 +3,7 @@ and Lipschitz constants."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,22 +48,28 @@ def proximal_point(
 
     The stopping rule is the step-size residual; for these firmly nonexpansive
     linear maps the iterates converge to the fixed-space projection of x0.
+    x0 is checked once, and every step runs the resolvent's kernel, prepared once.
     """
     max_iter = _check_int(max_iter, "max_iter", 1)
     stop_tol = _check_real(stop_tol, "stop_tol", allow_zero=True)
-    J = resolvent(R, gamma)
+    kernel = R._polynomial_kernel(resolvent(R, gamma).coefficients)
     x = as_vector(x0, R.dim)
     points = [x]
     residuals: list = []
     converged = False
+    step = 0.0
     for _ in range(max_iter):
-        x_next = J.apply(points[-1])
-        step = float(np.linalg.norm(x_next - points[-1]))
+        if not math.isfinite(step):  # an iterate that overflowed is refused as an operand
+            as_vector(x, R.dim)
+        x_next = kernel(x)
+        d = x_next - x
+        step = math.sqrt(d.dot(d))  # np.linalg.norm of a 1-d array, bit for bit
         points.append(x_next)
         residuals.append(step)
         if step <= stop_tol:
             converged = True
             break
+        x = x_next
     return Trajectory(
         points=points,
         residuals=residuals,

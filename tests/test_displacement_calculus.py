@@ -1,5 +1,7 @@
 """Projectors, skew companion, pseudoinverse, and the set-valued inverse."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,7 @@ KERNEL_INSTANCES = (
     [make_rotator(m, blocks=3) for m in (2, 3, 8, 64, 1024)]
     + [
         make_circular_shift(m, block_dim)
-        for m in (2, SHIFT_CIRCULANT_MAX_ORDER, SHIFT_CIRCULANT_MAX_ORDER + 1, 1024)
+        for m in (2, SHIFT_CIRCULANT_MAX_ORDER, SHIFT_CIRCULANT_MAX_ORDER + 1, 200, 1024)
         for block_dim in (1, 2)
     ]
     + [max((R for R in INSTANCES if R.kind == "dense"), key=lambda R: (R.order, R.dim))]
@@ -160,11 +162,13 @@ def test_kernel_matches_horner_and_power_sum(R):
     for which, coeffs in _kernel_coefficients(R.order).items():
         horner = horner_reference(R, coeffs, draw)
         power_sum = np.tensordot(coeffs, powers, axes=1)
+        op = PolynomialOperator(R, coeffs)  # its kernel, prepared once, meets every operand
         for name, columns in KERNEL_OPERANDS.items():
             X = draw[:, columns]
-            out = PolynomialOperator(R, coeffs).apply(X)
+            out = op.apply(X)
             msg = f"{name} {which}"
             assert out.shape == X.shape, msg
+            np.testing.assert_array_equal(out, R.apply_polynomial(coeffs, X), err_msg=msg)
             np.testing.assert_allclose(out, horner[:, columns], rtol=0, atol=1e-12, err_msg=msg)
             np.testing.assert_allclose(
                 out, power_sum[:, columns], rtol=0, atol=1e-12, err_msg=msg
@@ -294,6 +298,37 @@ def test_addition_and_scaling():
     np.testing.assert_array_equal((-a).coefficients, [-1.0, -2.0, -3.0])
 
 
+def test_coefficients_are_a_read_only_copy():
+    R = make_circular_shift(3)
+    given = np.array([1.0, 2.0, 3.0])
+    a = PolynomialOperator(R, given)
+    b = PolynomialOperator(R, [0.5, -1.0, 0.0])
+    x = np.array([1.0, 0.0, -1.0])
+    before = a.apply(x)
+    assert not np.shares_memory(a.coefficients, given)
+    given[0] = 7.0  # the caller's array stays writable and is not the operator's
+    np.testing.assert_array_equal(a.coefficients, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(a.apply(x), before)
+    results = {"a": a, "+": a + b, "-": a - b, "*": 2.0 * a, "@": a @ b, "neg": -a}
+    for name, op in results.items():
+        with pytest.raises(ValueError, match="read-only"):
+            op.coefficients[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            op.coefficients *= 2.0
+        assert not op.coefficients.flags.writeable, name
+
+
+def test_an_applied_operator_pickles_without_its_kernel():
+    R = DENSE_KERNEL_INSTANCES[1]
+    op = resolvent(R, 0.5)
+    x = np.arange(R.dim, dtype=float)
+    before = op.apply(x)  # prepares the kernel, a closure that pickle cannot take
+    copy = pickle.loads(pickle.dumps(op))
+    assert copy.operator.same_as(R) and not copy.coefficients.flags.writeable
+    np.testing.assert_array_equal(copy.coefficients, op.coefficients)
+    np.testing.assert_array_equal(copy.apply(x), before)
+
+
 def test_operations_reject_mismatched_operators():
     a = PolynomialOperator(make_circular_shift(3), [1.0, 0.0, 0.0])
     b = PolynomialOperator(make_rotator(3), [1.0, 0.0, 0.0])
@@ -369,6 +404,18 @@ def test_projector_decomposition(R):
 def test_skew_part_vanishes_for_order_two():
     np.testing.assert_array_equal(skew_part(make_rotator(2)).coefficients, [0.0, 0.0])
     np.testing.assert_array_equal(skew_part(make_circular_shift(2)).coefficients, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 1000])
+def test_skew_part_and_pseudo_inverse_coefficients_are_the_loop_formulas(m):
+    # int64 numerators over 2m are correctly rounded, as Python's int true division is
+    R = make_circular_shift(m)
+    skew = np.zeros(m)
+    for k in range(1, m):
+        skew[k] = (m - 2 * k) / (2 * m)
+    pinv = np.array([(m - 1 - 2 * k) / (2 * m) for k in range(m)])
+    np.testing.assert_array_equal(skew_part(R).coefficients, skew)
+    np.testing.assert_array_equal(pseudo_inverse(R).coefficients, pinv)
 
 
 def test_skew_part_coefficients_order_three():

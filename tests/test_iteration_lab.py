@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from displacement_kit import (
+    FiniteOrderIsometry,
     ParameterError,
     PolynomialOperator,
     ergodic_mean,
@@ -18,7 +19,7 @@ from displacement_kit import (
     resolvent,
     resolvent_inverse,
 )
-from displacement_kit.verification import standard_instances
+from displacement_kit.verification import conjugated_dense, standard_instances
 
 INSTANCES = standard_instances(max_m=6, max_dim=12, seed=3)
 IDS = lambda R: f"{R.kind}-m{R.order}-n{R.dim}"
@@ -65,6 +66,85 @@ def test_proximal_point_rejects_bad_parameters():
         proximal_point(R, 1.0, [1.0, 0.0], max_iter=0)
     with pytest.raises(ParameterError):
         proximal_point(R, -1.0, [1.0, 0.0])
+
+
+def _reference_trajectory(R, gamma, x0, max_iter, stop_tol):
+    # the loop proximal_point stands for: J.apply and np.linalg.norm on every step
+    J = resolvent(R, gamma)
+    points, residuals = [np.asarray(x0, dtype=float)], []
+    for _ in range(max_iter):
+        points.append(J.apply(points[-1]))
+        residuals.append(float(np.linalg.norm(points[-1] - points[-2])))
+        if residuals[-1] <= stop_tol:
+            return points, residuals, True
+    return points, residuals, False
+
+
+#: (R, gamma, x0, max_iter, stop_tol): each kind, both sides of the shift's
+#: circulant/FFT switch, a start in Fix R and an exhausted max_iter
+PROXIMAL_CASES = {
+    "rotator": (make_rotator(5, 3), 0.3, np.arange(6.0), 2000, 1e-14),
+    "circulant": (make_circular_shift(8, 2), 0.3, np.arange(16.0), 2000, 1e-14),
+    "fft": (make_circular_shift(200), 20.0, np.sin(np.arange(200.0)), 2000, 1e-14),
+    "dense": (
+        conjugated_dense(make_circular_shift(5, 2), np.random.default_rng(4)),
+        0.3, np.arange(10.0), 2000, 1e-14,
+    ),
+    "fixed-start": (make_circular_shift(4, 2), 1.0, np.tile([4.0, -1.5], 4), 10, 0.0),
+    "max-iter": (make_circular_shift(3), 1.0, np.array([1.0, 2.0, 3.0]), 7, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", PROXIMAL_CASES)
+def test_proximal_point_is_the_reference_loop_bit_for_bit(case):
+    R, gamma, x0, max_iter, stop_tol = PROXIMAL_CASES[case]
+    points, residuals, converged = _reference_trajectory(R, gamma, x0, max_iter, stop_tol)
+    t = proximal_point(R, gamma, x0, max_iter=max_iter, stop_tol=stop_tol)
+    assert len(t.points) == len(points)
+    for got, want in zip(t.points, points):
+        np.testing.assert_array_equal(got, want)
+    assert t.residuals == residuals
+    assert (t.converged, t.iterations_used) == (converged, len(residuals))
+    np.testing.assert_array_equal(t.limit_estimate, points[-1])
+    if case == "fixed-start":
+        assert residuals == [0.0] and converged
+    if case == "max-iter":
+        assert not converged and len(residuals) == max_iter
+    else:
+        assert converged
+
+
+def test_proximal_point_prepares_the_kernel_once(monkeypatch):
+    prepared = []
+    original = FiniteOrderIsometry._polynomial_kernel
+
+    def counted(self, c):
+        prepared.append(self)
+        return original(self, c)
+
+    monkeypatch.setattr(FiniteOrderIsometry, "_polynomial_kernel", counted)
+    for case, (R, gamma, x0, _, _) in PROXIMAL_CASES.items():
+        prepared.clear()
+        t = proximal_point(R, gamma, x0, max_iter=25, stop_tol=0.0)
+        assert t.iterations_used == (1 if case == "fixed-start" else 25), case
+        assert prepared == [R], case
+    # an operator prepares its kernel on its first apply, and its algebra prepares none
+    R, gamma, x0, _, _ = PROXIMAL_CASES["dense"]
+    prepared.clear()
+    J = resolvent(R, gamma)
+    assert (J @ J + 2.0 * J - (-J)).operator_norm() > 0.0 and prepared == []
+    for _ in range(3):
+        J.apply(x0)
+    assert prepared == [R]
+
+
+def test_proximal_point_refuses_an_iterate_that_overflowed():
+    # the FFT kernel sums the blocks, so entries near the float maximum overflow;
+    # the next step refuses the non-finite iterate as an operand of the resolvent
+    R = make_circular_shift(200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParameterError, match="finite"):
+            proximal_point(R, 1.0, np.full(200, 1e307), max_iter=2)
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
