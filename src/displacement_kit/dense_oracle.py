@@ -26,8 +26,7 @@ from .isometry_core import _check_array, _check_int, _check_real
 RESOLVENT_RESIDUAL_TOL = 1e-10
 #: relative singular-value threshold separating zero from nonzero spectrum
 DEFAULT_RANK_TOL = 1e-10
-#: operator-norm slack accepted when an input must be nonexpansive (the one
-#: definition; the matrix series of resolvent_yosida imports it)
+#: operator-norm slack of _check_nonexpansive, the one test of a nonexpansive input
 NONEXPANSIVE_TOL = 1e-8
 #: entries of the largest block of samples that compare applies at once (1 MiB)
 _CHUNK_ENTRIES = 1 << 17
@@ -138,13 +137,7 @@ def oracle_projector_fix(A) -> np.ndarray:
     of Id - A below DEFAULT_RANK_TOL * max(1, sigma_max) count as zero; for an
     isometry of order m the nonzero ones sit above 2*sin(pi/m), far above it.
     """
-    M = _check_array(A, "matrix", ("n", "n"))
-    norm = float(np.linalg.norm(M, 2))
-    if norm > 1.0 + NONEXPANSIVE_TOL:
-        raise ValidationError(
-            f"operator is not nonexpansive: spectral norm {norm:.6f} exceeds "
-            f"1 + {NONEXPANSIVE_TOL:.1e}"
-        )
+    M = _check_nonexpansive(_check_array(A, "matrix", ("n", "n")))
     n = M.shape[0]
     _, s, vt = np.linalg.svd(np.eye(n) - M)
     cutoff = DEFAULT_RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)
@@ -152,6 +145,17 @@ def oracle_projector_fix(A) -> np.ndarray:
     if null_rows.shape[0] == 0:
         return np.zeros((n, n))
     return null_rows.T @ null_rows
+
+
+def _check_nonexpansive(M: np.ndarray) -> np.ndarray:
+    """M, or ValidationError when its spectral norm exceeds 1 + NONEXPANSIVE_TOL."""
+    norm = float(np.linalg.norm(M, 2))
+    if norm > 1.0 + NONEXPANSIVE_TOL:
+        raise ValidationError(
+            f"operator is not nonexpansive: spectral norm {norm:.6f} exceeds "
+            f"1 + {NONEXPANSIVE_TOL:.1e}"
+        )
+    return M
 
 
 def compare(

@@ -8,6 +8,7 @@ in R, so the universal representation here is a coefficient vector
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,12 +227,13 @@ def set_valued_inverse(R: FiniteOrderIsometry, y, tol: float = RANGE_MEMBERSHIP_
     Returns the full solution set as an :class:`AffineSubspace` (particular
     point = the minimum-norm solution, directions = Fix R), or ``None`` when
     y is not in the range, detected by its fixed-space component exceeding
-    ``tol * ||y||``.  The test is relative, so it does not depend on the scale
-    of y; y = 0 is in the range.
+    ``tol * ||y||``.  The test runs on y scaled by a power of two to
+    max|y| in [1/2, 1), exactly, so that no square in the norms overflows or
+    underflows: it does not depend on the scale of y.  y = 0 is in the range.
     """
     tol = _check_real(tol, "tol")
     v = as_vector(y, R.dim)
-    fixed_component = projector_fix(R).apply(v)
-    if float(np.linalg.norm(fixed_component)) > tol * float(np.linalg.norm(v)):
+    unit = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])  # frexp(0.0) = (0.0, 0)
+    if float(np.linalg.norm(projector_fix(R).apply(unit))) > tol * float(np.linalg.norm(unit)):
         return None
     return AffineSubspace(point=pseudo_inverse(R).apply(v), basis=R.fixed_space_basis())

@@ -24,53 +24,45 @@ def _read_json(path: str):
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _real_or_raise(obj, path: str, expected: str) -> np.ndarray:
-    try:
-        return _real_array(obj, path)
-    except ParameterError:
-        raise ParameterError(f"{path}: expected {expected}") from None
+def _load(path, shape: tuple, kind: str, json_form: str, csv_form: str) -> np.ndarray:
+    """A finite float array of ``len(shape)`` axes from a .json or CSV file.
 
-
-def _checked(arr: np.ndarray, path: str, shape: tuple, kind: str) -> np.ndarray:
-    """``arr`` (already float) through ``_check_array``, which can then only fail on
-    the number of axes or on a NaN/inf entry; each keeps this module's message."""
+    ``json_form`` and ``csv_form`` name the layout in the message of a file
+    that does not parse as one; a vector may also come as a single row or column.
+    ``_check_array`` can then only fail on the number of axes or on a NaN/inf
+    entry, and each keeps this module's message.
+    """
+    p = str(path)
+    if p.endswith(".json"):
+        obj = _read_json(p)
+        try:
+            arr = _real_array(obj, p)
+        except ParameterError:
+            raise ParameterError(f"{p}: expected {json_form}") from None
+    else:
+        try:
+            arr = np.loadtxt(p, delimiter=",", ndmin=len(shape))
+        except OSError as exc:
+            raise ParameterError(f"cannot read {p}: {exc}") from exc
+        except ValueError as exc:
+            raise ParameterError(f"{p} is not a {csv_form}: {exc}") from exc
+    if len(shape) == 1 and arr.ndim == 2 and 1 in arr.shape:
+        arr = arr.ravel()
     try:
-        return _check_array(arr, path, shape)
+        return _check_array(arr, p, shape)
     except ParameterError:
-        if arr.ndim != len(shape):
-            shape_text = f"expected a {kind}, got array of shape {arr.shape}"
-            raise ParameterError(f"{path}: {shape_text}") from None
-        raise ParameterError(f"{path} contains non-finite entries") from None
+        if arr.ndim == len(shape):
+            raise ParameterError(f"{p} contains non-finite entries") from None
+        raise ParameterError(f"{p}: expected a {kind}, got array of shape {arr.shape}") from None
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix from a .json (arrays-of-rows) or CSV file."""
-    p = str(path)
-    if p.endswith(".json"):
-        arr = _real_or_raise(_read_json(p), p, "an array of equal-length rows")
-    else:
-        try:
-            arr = np.loadtxt(p, delimiter=",", ndmin=2)
-        except OSError as exc:
-            raise ParameterError(f"cannot read {p}: {exc}") from exc
-        except ValueError as exc:
-            raise ParameterError(f"{p} is not a rectangular CSV matrix: {exc}") from exc
-    return _checked(arr, p, (None, None), "matrix")
+    return _load(
+        path, (None, None), "matrix", "an array of equal-length rows", "rectangular CSV matrix"
+    )
 
 
 def load_vector(path) -> np.ndarray:
     """Read a vector from a .json (flat array) or CSV (single row or column) file."""
-    p = str(path)
-    if p.endswith(".json"):
-        arr = _real_or_raise(_read_json(p), p, "a flat array of numbers")
-    else:
-        try:
-            arr = np.atleast_1d(np.loadtxt(p, delimiter=","))
-        except OSError as exc:
-            raise ParameterError(f"cannot read {p}: {exc}") from exc
-        except ValueError as exc:
-            raise ParameterError(f"{p} is not a CSV vector: {exc}") from exc
-    if arr.ndim == 2 and 1 in arr.shape:
-        arr = arr.ravel()
-    return _checked(arr, p, (None,), "vector")
-
+    return _load(path, (None,), "vector", "a flat array of numbers", "CSV vector")

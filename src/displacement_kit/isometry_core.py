@@ -253,7 +253,8 @@ class FiniteOrderIsometry:
         Rotator: the scalar z = sum_k c_k w^k, w = cos + i sin, by Horner, then
         a I + b J with a + ib = z on each 2x2 block.  Shift: the circulant
         C[i, j] = c[(i - j) mod m] applied along the block axis, as a matrix
-        product up to SHIFT_CIRCULANT_MAX_ORDER and through rfft/irfft above.
+        product up to SHIFT_CIRCULANT_MAX_ORDER and through rfft/irfft above, which
+        sums all m blocks and raises NumericError when that overflows.
         Dense: with u = A x, sum_j (A^2)^j (c_{2j} x + c_{2j+1} u) by Horner in
         the stored square A^2: ceil(m/2) products in place of Horner's m-1, at the
         price of one more operand-sized temporary (u).
@@ -270,9 +271,16 @@ class FiniteOrderIsometry:
                 circulant = c[(np.arange(m)[:, None] - np.arange(m)) % m]
                 return lambda v: (circulant @ self._blocks(v)).reshape(v.shape)
             symbol = np.fft.rfft(c)[:, None]
-            return lambda v: np.fft.irfft(
-                symbol * np.fft.rfft(self._blocks(v), axis=0), n=m, axis=0
-            ).reshape(v.shape)
+
+            def fft(v):
+                out = np.fft.irfft(symbol * np.fft.rfft(self._blocks(v), axis=0), n=m, axis=0)
+                if not np.isfinite(out).all():  # the transform sums all m blocks
+                    raise NumericError(
+                        f"the FFT kernel of the order-{m} shift overflowed on a finite operand"
+                    )
+                return out.reshape(v.shape)
+
+            return fft
         top = 2 * ((m - 1) // 2)  # the last even index; c[top + 1] may not exist
 
         def dense(v):

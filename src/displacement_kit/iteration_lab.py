@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .displacement_calculus import PolynomialOperator
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .isometry_core import FiniteOrderIsometry, _check_int, _check_real, as_vector
 from .resolvent_yosida import resolvent
 
@@ -49,6 +49,9 @@ def proximal_point(
     The stopping rule is the step-size residual; for these firmly nonexpansive
     linear maps the iterates converge to the fixed-space projection of x0.
     x0 is checked once, and every step runs the resolvent's kernel, prepared once.
+    The residuals are finite and scale exactly with x0 by powers of two, as
+    long as the iterates are normal floats; NumericError at the first step
+    that is not finite or whose norm overflows.
     """
     max_iter = _check_int(max_iter, "max_iter", 1)
     stop_tol = _check_real(stop_tol, "stop_tol", allow_zero=True)
@@ -57,19 +60,18 @@ def proximal_point(
     points = [x]
     residuals: list = []
     converged = False
-    step = 0.0
-    for _ in range(max_iter):
-        if not math.isfinite(step):  # an iterate that overflowed is refused as an operand
-            as_vector(x, R.dim)
-        x_next = kernel(x)
-        d = x_next - x
-        step = math.sqrt(d.dot(d))  # np.linalg.norm of a 1-d array, bit for bit
-        points.append(x_next)
-        residuals.append(step)
-        if step <= stop_tol:
-            converged = True
-            break
-        x = x_next
+    # d.d overflows for large finite steps, and any other overflow leaves a step
+    # or a norm that is not finite, which _step_norm refuses: no warning is needed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iter + 1):
+            x_next = kernel(x)
+            step = _step_norm(x_next - x, k)
+            points.append(x_next)
+            residuals.append(step)
+            if step <= stop_tol:
+                converged = True
+                break
+            x = x_next
     return Trajectory(
         points=points,
         residuals=residuals,
@@ -77,6 +79,27 @@ def proximal_point(
         converged=converged,
         iterations_used=len(residuals),
     )
+
+
+#: least d.d that a step norm takes as it is: a square lost to underflow (at most
+#: 2^-1075) moves it by less than 2^-54 of its unit in the last place
+_UNSCALED_SQUARES = 2.0**-969
+
+
+def _step_norm(d: np.ndarray, k: int) -> float:
+    """||d||_2: sqrt(d.d), np.linalg.norm of a 1-d array bit for bit, while d.d is
+    finite and at least _UNSCALED_SQUARES, and otherwise the norm of d scaled by a
+    power of two to max|d| in [1/2, 1), scaled back; NumericError when step k or
+    its norm is not finite."""
+    squares = d.dot(d)
+    if _UNSCALED_SQUARES <= squares < math.inf:  # NaN fails too
+        return math.sqrt(squares)
+    exponent = math.frexp(float(np.abs(d).max()))[1]  # 0 for 0, inf and NaN
+    unit = np.ldexp(d, -exponent)
+    norm = float(np.ldexp(math.sqrt(unit.dot(unit)), exponent))  # inf when it overflows
+    if not math.isfinite(norm):
+        raise NumericError(f"the norm of proximal-point step {k} is not a finite float")
+    return norm
 
 
 def ergodic_mean(R: FiniteOrderIsometry, x0, n: int) -> np.ndarray:

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
-from .dense_oracle import NONEXPANSIVE_TOL
+from .dense_oracle import _check_nonexpansive
+from .errors import NumericError
 from .displacement_calculus import PolynomialOperator
 from .isometry_core import FiniteOrderIsometry, _check_array, _check_int, _check_real, as_vector
 
@@ -149,12 +149,7 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
             f"series at gamma = {g!r}, eps = {eps!r} needs K ~ {ratio:.3g} terms, "
             f"more than SERIES_MAX_TERMS = {SERIES_MAX_TERMS}"
         )
-    norm_estimate = float(np.linalg.norm(A, 2))
-    if norm_estimate > 1.0 + NONEXPANSIVE_TOL:
-        raise ValidationError(
-            f"operator is not nonexpansive: spectral norm estimate {norm_estimate:.6f} "
-            f"exceeds 1 + {NONEXPANSIVE_TOL:.1e}"
-        )
+    _check_nonexpansive(A)
     v = as_vector(x, A.shape[0])
 
     q = g / (1.0 + g)

@@ -114,6 +114,34 @@ def test_solve_in_range(capsys, tmp_path):
     assert len(data["basis"]) == 1 and len(data["basis"][0]) == 2
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_iterate_at_an_extreme_scale_prints_strict_json(capsys, tmp_path):
+    # the squares of these steps overflow; each residual is still a finite float
+    x0 = tmp_path / "x0.json"
+    save_vector(x0, 1e160 * np.random.default_rng(2).standard_normal(8))
+    code, out, err = run(
+        capsys, "iterate", "--kind", "rotator", "--m", "5", "--blocks", "4", "--gamma", "1",
+        "--x0", str(x0), "--max-iter", "50",
+    )
+    assert code == 0, err
+    residuals = _strict_json(out)["residuals"]
+    assert len(residuals) == 50 and all(0.0 < r < math.inf for r in residuals)
+
+
+def test_solve_at_an_extreme_scale_refuses_a_fixed_right_hand_side(capsys, tmp_path):
+    rhs = tmp_path / "rhs.json"
+    save_vector(rhs, np.full(3, 1e160))
+    code, out, err = run(capsys, "solve", "--kind", "shift", "--m", "3", "--rhs", str(rhs))
+    assert code == 0, err
+    assert _strict_json(out) == {"message": "not in range of M"}
+
+
 def test_iterate_json_and_csv(capsys, tmp_path):
     x0 = tmp_path / "x0.json"
     save_vector(x0, [1.0, 2.0, 3.0])

@@ -8,6 +8,7 @@ import pytest
 from displacement_kit import (
     AffineSubspace,
     FiniteOrderIsometry,
+    NumericError,
     ParameterError,
     PolynomialOperator,
     ValidationError,
@@ -173,6 +174,22 @@ def test_kernel_matches_horner_and_power_sum(R):
             np.testing.assert_allclose(
                 out, power_sum[:, columns], rtol=0, atol=1e-12, err_msg=msg
             )
+
+
+@pytest.mark.parametrize("block_dim", [1, 2])
+def test_fft_kernel_refuses_a_result_that_overflowed(block_dim):
+    # the resolvent is a convex combination of block rolls, so its image of a
+    # finite x is finite; the FFT side sums all m blocks and overflows near the
+    # float maximum, where the circulant side stays finite
+    for m in (SHIFT_CIRCULANT_MAX_ORDER, SHIFT_CIRCULANT_MAX_ORDER + 1, 200):
+        J = resolvent(make_circular_shift(m, block_dim), 1.0)
+        for x in (np.full(J.dim, 1e307), np.full((J.dim, 3), 1e307)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if m <= SHIFT_CIRCULANT_MAX_ORDER:
+                    assert np.isfinite(J.apply(x)).all()
+                else:
+                    with pytest.raises(NumericError, match=f"order-{m} shift overflowed"):
+                        J.apply(x)
 
 
 class _CountedMatrix(np.ndarray):
@@ -570,6 +587,23 @@ def test_set_valued_inverse_rejects_fixed_vector():
 def test_set_valued_inverse_rejects_tiny_fixed_vector():
     # the range test is relative, so a fixed vector is rejected at any scale
     assert set_valued_inverse(make_circular_shift(3), [1e-12, 1e-12, 1e-12]) is None
+
+
+@pytest.mark.parametrize(
+    "R",
+    [make_circular_shift(3), conjugated_dense(make_circular_shift(4, 2), np.random.default_rng(8))],
+    ids=IDS,
+)
+def test_set_valued_inverse_does_not_depend_on_the_scale_of_y(R):
+    # at 2^k the squares in ||y|| overflow (k > 511) or underflow (k < -537); the
+    # test scales y by a power of two first, so each decision is the one at k = 0
+    w = np.random.default_rng(21).standard_normal(R.dim)
+    fixed, ranged = projector_fix(R).apply(w), projector_fix_complement(R).apply(w)
+    for k in range(-1000, 1001, 25):
+        assert set_valued_inverse(R, np.ldexp(fixed, k)) is None, k
+        y = np.ldexp(ranged, k)
+        x = set_valued_inverse(R, y).point
+        assert np.max(np.abs(x - R.apply(x) - y)) <= 1e-9 * np.max(np.abs(y)), k
 
 
 def test_set_valued_inverse_invertible_case():

@@ -119,6 +119,28 @@ def test_load_rejects_wrong_shape_naming_path(tmp_path, load, text, message):
     assert str(info.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "load, name, text, prefix",
+    [
+        (load_matrix, "m.csv", "1.0,2.0\n3.0\n", "{path} is not a rectangular CSV matrix: "),
+        (load_vector, "v.csv", "1.0,x\n", "{path} is not a CSV vector: "),
+        (load_matrix, "missing.csv", None, "cannot read {path}: "),
+        (load_vector, "missing.csv", None, "cannot read {path}: "),
+        (load_vector, "missing.json", None, "cannot read {path}: "),
+        (load_vector, "bad.json", "[1.0,", "{path} is not valid JSON: "),
+        (load_vector, "m.csv", "1,2\n3,4\n", "{path}: expected a vector, got array of shape (2, 2)"),
+    ],
+)
+def test_load_names_the_path_and_the_form_for_each_format(tmp_path, load, name, text, prefix):
+    # the matrix and the vector reader are one, with each message of its own
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ParameterError) as info:
+        load(path)
+    assert str(info.value).startswith(prefix.format(path=path))
+
+
 def test_load_converts_integers_to_float(tmp_path):
     path = tmp_path / "ints.json"
     path.write_text("[[1, 0], [0, 1]]")

@@ -7,6 +7,7 @@ import pytest
 
 from displacement_kit import (
     FiniteOrderIsometry,
+    NumericError,
     ParameterError,
     PolynomialOperator,
     ergodic_mean,
@@ -139,12 +140,32 @@ def test_proximal_point_prepares_the_kernel_once(monkeypatch):
 
 
 def test_proximal_point_refuses_an_iterate_that_overflowed():
-    # the FFT kernel sums the blocks, so entries near the float maximum overflow;
-    # the next step refuses the non-finite iterate as an operand of the resolvent
+    # the FFT kernel sums the blocks, so entries near the float maximum overflow
+    # in the first step, which raises at once
     R = make_circular_shift(200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ParameterError, match="finite"):
-            proximal_point(R, 1.0, np.full(200, 1e307), max_iter=2)
+    for max_iter in (1, 2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="overflow"):
+                proximal_point(R, 1.0, np.full(200, 1e307), max_iter=max_iter)
+
+
+def test_proximal_point_refuses_a_step_whose_norm_overflows():
+    # the half turn at a huge gamma has J = 0, so the first step is -x0: finite,
+    # but its norm sqrt(2) * 1.7e308 exceeds the largest float
+    with pytest.raises(NumericError, match="step 1 is not a finite float"):
+        proximal_point(make_rotator(2), 1e300, [1.7e308, 1.7e308], max_iter=3)
+
+
+@pytest.mark.parametrize("case", ["rotator", "circulant", "fft", "dense"])
+def test_proximal_point_residuals_scale_with_x0(case):
+    # at 2^k the squares in a step norm overflow or underflow for |k| beyond about
+    # 500; the residuals are still finite, positive and 2^k times those at k = 0
+    R, gamma, x0, _, _ = PROXIMAL_CASES[case]
+    unit = proximal_point(R, gamma, x0, max_iter=50, stop_tol=1e-12)
+    for k in range(-900, 901, 25):
+        t = proximal_point(R, gamma, np.ldexp(x0, k), max_iter=50, stop_tol=np.ldexp(1e-12, k))
+        assert all(0.0 < r < np.inf for r in t.residuals), k
+        assert t.residuals == [float(np.ldexp(r, k)) for r in unit.residuals], k
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)

@@ -15,6 +15,7 @@ from displacement_kit import (
     make_circular_shift,
     make_rotator,
     materialize,
+    oracle_projector_fix,
     projector_fix,
     projector_fix_complement,
     resolvent,
@@ -382,6 +383,23 @@ def test_yosida_inverse_tiny_gamma(m):
 def test_series_rejects_expansive_matrix():
     with pytest.raises(ValidationError, match="nonexpansive"):
         series_resolvent_apply(1.5 * np.eye(2), 1.0, [1.0, 0.0], 1e-10)
+
+
+def test_series_and_oracle_refuse_an_expansive_matrix_by_one_rule():
+    # one check and one message, with the exact SVD norm, for both
+    for A in (1.5 * np.eye(2), np.array([[1.0, 1e-7], [0.0, 1.0]])):
+        with pytest.raises(ValidationError) as series_error:
+            series_resolvent_apply(A, 1.0, [1.0, 0.0], 1e-10)
+        with pytest.raises(ValidationError) as oracle_error:
+            oracle_projector_fix(A)
+        assert str(series_error.value) == str(oracle_error.value)
+        assert str(oracle_error.value).startswith(
+            f"operator is not nonexpansive: spectral norm {np.linalg.norm(A, 2):.6f} exceeds"
+        )
+    # at the slack the matrix passes both
+    A = np.diag([1.0 + 0.5e-8, 1.0])
+    assert oracle_projector_fix(A).shape == (2, 2)
+    assert np.isfinite(series_resolvent_apply(A, 1.0, [1.0, 0.0], 1e-10)).all()
 
 
 @pytest.mark.parametrize("gamma", [1e12, 1e307])
