@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import NumericError, ParameterError, ValidationError
 from .isometry_core import (
     FiniteOrderIsometry,
     _as_operand,
@@ -22,6 +22,7 @@ from .isometry_core import (
     _is_finite_real,
     _real_array,
     as_vector,
+    make_circular_shift,
 )
 
 #: default relative threshold for the range-membership test of the set-valued inverse
@@ -95,12 +96,13 @@ class PolynomialOperator:
             raise ParameterError("operands are bound to different isometries")
 
     def compose(self, other: "PolynomialOperator") -> "PolynomialOperator":
-        """Operator product; coefficients convolve cyclically mod m because R^m = Id."""
+        """Operator product; coefficients convolve cyclically mod m because R^m = Id, by
+        the order-m shift's kernel, whose FFT above SHIFT_CIRCULANT_MAX_ORDER keeps each
+        coefficient accurate relative to the largest one, not to itself."""
         self._check_same_operator(other)
-        full = np.convolve(self.coefficients, other.coefficients)
-        folded = full[: self.order].copy()
-        folded[: self.order - 1] += full[self.order:]
-        return PolynomialOperator(self.operator, folded)
+        shift = make_circular_shift(self.order)
+        product = shift.apply_polynomial(self.coefficients, other.coefficients)
+        return PolynomialOperator(self.operator, product)
 
     __matmul__ = compose
 
@@ -227,13 +229,21 @@ def set_valued_inverse(R: FiniteOrderIsometry, y, tol: float = RANGE_MEMBERSHIP_
     Returns the full solution set as an :class:`AffineSubspace` (particular
     point = the minimum-norm solution, directions = Fix R), or ``None`` when
     y is not in the range, detected by its fixed-space component exceeding
-    ``tol * ||y||``.  The test runs on y scaled by a power of two to
-    max|y| in [1/2, 1), exactly, so that no square in the norms overflows or
-    underflows: it does not depend on the scale of y.  y = 0 is in the range.
+    ``tol * ||y||``.  Both the test and the point are computed on y scaled by a
+    power of two to max|y| in [1/2, 1), exactly, so that no square in the norms
+    overflows or underflows and neither depends on the scale of y; scaling the
+    point back rounds entries below 2^-1022 to multiples of 2^-1074, and those of
+    at most 2^-1075 to 0.0 or -0.0, and raises NumericError when one exceeds the
+    largest float.  y = 0 is in the range.
     """
     tol = _check_real(tol, "tol")
     v = as_vector(y, R.dim)
-    unit = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])  # frexp(0.0) = (0.0, 0)
+    e = math.frexp(float(np.abs(v).max()))[1]  # frexp(0.0) = (0.0, 0)
+    unit = np.ldexp(v, -e)
     if float(np.linalg.norm(projector_fix(R).apply(unit))) > tol * float(np.linalg.norm(unit)):
         return None
-    return AffineSubspace(point=pseudo_inverse(R).apply(v), basis=R.fixed_space_basis())
+    with np.errstate(over="ignore"):  # refused below, by name
+        point = np.ldexp(pseudo_inverse(R).apply(unit), e)
+    if not np.isfinite(point).all():
+        raise NumericError("the minimum-norm point of the solution set exceeds the largest float")
+    return AffineSubspace(point=point, basis=R.fixed_space_basis())

@@ -152,34 +152,27 @@ class FiniteOrderIsometry:
     instead of the bare constructor.
     """
 
-    __slots__ = (
-        "kind", "order", "dim", "_cos", "_sin", "_block_dim", "_matrix", "_square", "_spectrum"
-    )
+    __slots__ = ("kind", "order", "dim", "_w", "_matrix", "_square", "_spectrum")
 
-    def __init__(self, kind, order, dim, *, cos_sin=None, block_dim=None, matrix=None):
-        # the storage must fit the kind and the dimension; nothing is certified here
-        storage = {
-            ROTATOR: ("cos_sin", cos_sin),
-            CIRCULAR_SHIFT: ("block_dim", block_dim),
-            DENSE: ("matrix", matrix),
-        }
-        if kind not in storage:
-            raise ParameterError(f"unknown isometry kind {kind!r}, expected one of {list(storage)}")
-        name, value = storage[kind]
-        if value is None:
-            raise ParameterError(f"a {kind} isometry needs {name}")
+    def __init__(self, kind, order, dim, *, matrix=None):
+        # a rotator and a shift are fixed by (order, dim); nothing is certified here
+        kinds = (ROTATOR, CIRCULAR_SHIFT, DENSE)
+        if kind not in kinds:
+            raise ParameterError(f"unknown isometry kind {kind!r}, expected one of {list(kinds)}")
         self.kind = kind
         self.order = _check_int(order, "order", 2)
         self.dim = _check_int(dim, "dim", 1)
         shape = getattr(matrix, "shape", None)
+        if kind != DENSE and matrix is not None:
+            raise ParameterError(f"a {kind} isometry takes no matrix, only a dense one does")
         if kind == ROTATOR and self.dim % 2:
             raise ParameterError(f"a rotator's dim must be even, got {dim}")
-        if kind == CIRCULAR_SHIFT and self.dim != self.order * block_dim:
-            raise ParameterError(f"dim must be order * block_dim = {order * block_dim}, got {dim}")
+        if kind == CIRCULAR_SHIFT and self.dim % self.order:
+            raise ParameterError(f"a circular_shift's dim must be a multiple of {order}, got {dim}")
         if kind == DENSE and shape != (self.dim, self.dim):
             raise ParameterError(f"dim {dim} needs a ({dim}, {dim}) matrix, got shape {shape}")
-        self._cos, self._sin = cos_sin if cos_sin is not None else (None, None)
-        self._block_dim = block_dim
+        angle = 2.0 * math.pi / self.order  # rotator only: w = e^{2*pi*i/m}, made once here
+        self._w = complex(math.cos(angle), math.sin(angle)) if kind == ROTATOR else None
         self._matrix = matrix
         # dense only: A @ A for the polynomial kernel, one more n x n array
         self._square = matrix @ matrix if matrix is not None else None
@@ -196,18 +189,14 @@ class FiniteOrderIsometry:
             return False
         if (self.kind, self.order, self.dim) != (other.kind, other.order, other.dim):
             return False
-        if self.kind == ROTATOR:
-            return self._cos == other._cos and self._sin == other._sin
-        if self.kind == CIRCULAR_SHIFT:
-            return self._block_dim == other._block_dim
-        return np.array_equal(self._matrix, other._matrix)
+        return self.kind != DENSE or np.array_equal(self._matrix, other._matrix)
 
     @staticmethod
-    def _rotate(v: np.ndarray, c: float, s: float) -> np.ndarray:
-        # each pair of rows (x0, x1) read as x0 + i x1 and multiplied by c + i s: one
-        # pass; a block goes through the complex view of its transpose, a row per column
+    def _rotate(v: np.ndarray, z: complex) -> np.ndarray:
+        # each pair of rows (x0, x1) read as x0 + i x1 and multiplied by z: one pass; a
+        # block goes through the complex view of its transpose, a row per column
         pairs = np.ascontiguousarray(v.T).view(np.complex128)
-        return (pairs * complex(c, s)).view(np.float64).T
+        return (pairs * z).view(np.float64).T
 
     def _blocks(self, v: np.ndarray) -> np.ndarray:
         # a shift's m blocks along axis 0: (m, b) for a vector, (m, b*B) for a block
@@ -221,7 +210,7 @@ class FiniteOrderIsometry:
         """
         v = _as_operand(x, self.dim)
         if self.kind == ROTATOR:
-            return self._rotate(v, self._cos, self._sin)
+            return self._rotate(v, self._w)
         if self.kind == CIRCULAR_SHIFT:
             blocks = self._blocks(v)
             return np.concatenate((blocks[-1:], blocks[:-1])).reshape(v.shape)
@@ -250,7 +239,7 @@ class FiniteOrderIsometry:
         """v -> sum_k c_k R^k v for an operand checked by :func:`_as_operand`, with the
         work on ``c`` alone done here; ``c`` must not change while the kernel is used.
 
-        Rotator: the scalar z = sum_k c_k w^k, w = cos + i sin, by Horner, then
+        Rotator: the scalar z = sum_k c_k w^k, w = e^{2*pi*i/m}, by Horner, then
         a I + b J with a + ib = z on each 2x2 block.  Shift: the circulant
         C[i, j] = c[(i - j) mod m] applied along the block axis, as a matrix
         product up to SHIFT_CIRCULANT_MAX_ORDER and through rfft/irfft above, which
@@ -261,11 +250,10 @@ class FiniteOrderIsometry:
         """
         m = self.order
         if self.kind == ROTATOR:
-            w = complex(self._cos, self._sin)
             z = 0j
             for ck in c[::-1].tolist():
-                z = z * w + ck
-            return lambda v: self._rotate(v, z.real, z.imag)
+                z = z * self._w + ck
+            return lambda v: self._rotate(v, z)
         if self.kind == CIRCULAR_SHIFT:
             if m <= SHIFT_CIRCULANT_MAX_ORDER:
                 circulant = c[(np.arange(m)[:, None] - np.arange(m)) % m]
@@ -300,7 +288,7 @@ class FiniteOrderIsometry:
         """mult[j], the multiplicity of the eigenvalue e^{2*pi*i*j/m} of R, for j < m.
 
         Rotator: dim/2 at j = 1 and at j = m-1 (dim at j = 1 when m = 2).
-        Shift: block_dim at every j.  Dense: the cluster sizes of the eigenvalues
+        Shift: dim/m at every j.  Dense: the cluster sizes of the eigenvalues
         of A + A^T at 2cos(2*pi*j/m), a pair j, m-j sharing its cluster equally;
         see :meth:`_dense_spectrum` for the certificate and its NumericError.
         """
@@ -310,7 +298,7 @@ class FiniteOrderIsometry:
             mult[-1] += self.dim // 2
             return mult
         if self.kind == CIRCULAR_SHIFT:
-            return np.full(self.order, self._block_dim, dtype=np.int64)
+            return np.full(self.order, self.dim // self.order, dtype=np.int64)
         return self._dense_spectrum()[0]
 
     def fixed_space_basis(self) -> np.ndarray:
@@ -327,7 +315,7 @@ class FiniteOrderIsometry:
             return np.empty((0, self.dim))
         if self.kind == CIRCULAR_SHIFT:
             # sqrt(1/m) is correctly rounded more often than 1/sqrt(m)
-            return np.tile(np.eye(self._block_dim), self.order) * math.sqrt(1.0 / self.order)
+            return np.tile(np.eye(self.dim // self.order), self.order) * math.sqrt(1.0 / self.order)
         return self._dense_spectrum()[1]
 
     def _dense_spectrum(self) -> tuple:
@@ -389,8 +377,7 @@ def make_rotator(m: int, blocks: int = 1) -> FiniteOrderIsometry:
     """
     m = _check_int(m, "order", 2)
     blocks = _check_int(blocks, "blocks", 1)
-    angle = 2.0 * math.pi / m
-    return FiniteOrderIsometry(ROTATOR, m, 2 * blocks, cos_sin=(math.cos(angle), math.sin(angle)))
+    return FiniteOrderIsometry(ROTATOR, m, 2 * blocks)
 
 
 def make_circular_shift(m: int, block_dim: int = 1) -> FiniteOrderIsometry:
@@ -398,7 +385,7 @@ def make_circular_shift(m: int, block_dim: int = 1) -> FiniteOrderIsometry:
     (x_1, ..., x_m) -> (x_m, x_1, ..., x_{m-1})."""
     m = _check_int(m, "order", 2)
     block_dim = _check_int(block_dim, "block_dim", 1)
-    return FiniteOrderIsometry(CIRCULAR_SHIFT, m, m * block_dim, block_dim=block_dim)
+    return FiniteOrderIsometry(CIRCULAR_SHIFT, m, m * block_dim)
 
 
 def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrderIsometry:

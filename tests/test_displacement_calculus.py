@@ -291,6 +291,15 @@ def test_operator_norm_skips_absent_eigenvalues():
     assert projector_fix_complement(R).operator_norm() == pytest.approx(1.0, abs=1e-15)
 
 
+def cyclic_convolution(a, b):
+    """The reference for compose: the full convolution, folded mod m in O(m^2)."""
+    m = len(a)
+    full = np.convolve(a, b)
+    folded = full[:m].copy()
+    folded[: m - 1] += full[m:]
+    return folded
+
+
 def test_compose_is_cyclic_convolution():
     R = make_circular_shift(4)
     rng = np.random.default_rng(1)
@@ -298,10 +307,36 @@ def test_compose_is_cyclic_convolution():
     b = PolynomialOperator(R, rng.standard_normal(4))
     x = rng.standard_normal(4)
     np.testing.assert_allclose((a @ b).apply(x), a.apply(b.apply(x)), rtol=0, atol=1e-12)
-    full = np.convolve(a.coefficients, b.coefficients)
-    expected = full[:4].copy()
-    expected[:3] += full[4:]
+    expected = cyclic_convolution(a.coefficients, b.coefficients)
     np.testing.assert_allclose((a @ b).coefficients, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 128, 129, 1024, 16384])
+def test_compose_matches_the_convolution_reference(m):
+    # compose runs the order-m shift's kernel: a circulant product up to
+    # SHIFT_CIRCULANT_MAX_ORDER and an FFT above it, accurate relative to the largest
+    # coefficient on both sides; a resolvent's coefficients decay geometrically
+    R = make_rotator(m)
+    rng = np.random.default_rng(m)
+    a = PolynomialOperator(R, rng.standard_normal(m))
+    J = resolvent(R, 1.0)
+    for left, right in ((a, a), (a, J), (J, J)):
+        expected = cyclic_convolution(left.coefficients, right.coefficients)
+        got = (left @ right).coefficients
+        np.testing.assert_allclose(got, expected, rtol=0, atol=2e-15 * np.max(np.abs(expected)))
+
+
+def test_a_rotator_of_order_two_to_the_twenty_runs_end_to_end():
+    # build, compose, apply and norm with no O(m^2) step: a convolution folded in
+    # O(m^2) takes minutes at this order
+    R = make_rotator(2**20, 4)
+    J = resolvent(R, 1.0)
+    K = J @ J
+    x = np.random.default_rng(20).standard_normal(R.dim)
+    np.testing.assert_allclose(K.apply(x), J.apply(J.apply(x)), rtol=0, atol=1e-14)
+    # the symbol of K on w = e^{2*pi*i/m} is 1/(2 - w)^2, of modulus 1/(5 - 4cos(2*pi/m))
+    expected = 1.0 / (5.0 - 4.0 * np.cos(2 * np.pi / R.order))
+    assert K.operator_norm() == pytest.approx(expected, abs=1e-12)
 
 
 def test_addition_and_scaling():
@@ -604,6 +639,45 @@ def test_set_valued_inverse_does_not_depend_on_the_scale_of_y(R):
         y = np.ldexp(ranged, k)
         x = set_valued_inverse(R, y).point
         assert np.max(np.abs(x - R.apply(x) - y)) <= 1e-9 * np.max(np.abs(y)), k
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-320])
+def test_set_valued_inverse_solves_a_subnormal_y_exactly(scale):
+    # the point is computed on y scaled to max|y| in [1/2, 1) and scaled back, so it
+    # rounds once, into the subnormal range; entries below 2^-1075 round to -0.0 here
+    R = make_circular_shift(3)
+    y = scale * np.array([1.0, -1.0, 0.0])
+    x = set_valued_inverse(R, y).point
+    np.testing.assert_array_equal(x - R.apply(x), y)
+    assert np.signbit(x).tolist() == [False, True, True]
+
+
+@pytest.mark.parametrize("m", [8, 200])
+def test_set_valued_inverse_refuses_a_point_beyond_the_float_range(m):
+    # y in the range at 1.5e308 whose minimum-norm solution is |1/(1 - w)| > 1.3 times
+    # larger, past the largest float; m = 8 is on the circulant side, m = 200 on the FFT's
+    y = 1.5e308 * np.cos(2 * np.pi * np.arange(m) / m)
+    with pytest.raises(NumericError, match="minimum-norm point .* exceeds the largest float"):
+        set_valued_inverse(make_circular_shift(m), y)
+
+
+@pytest.mark.parametrize(
+    "R",
+    [
+        make_circular_shift(2),
+        make_circular_shift(8),
+        make_rotator(5, 2),
+        conjugated_dense(make_circular_shift(4, 2), np.random.default_rng(8)),
+    ],
+    ids=IDS,
+)
+def test_set_valued_inverse_point_scales_exactly_with_y(R):
+    # scaling y by 2^k scales the point by exactly 2^k while it stays normal
+    y = projector_fix_complement(R).apply(np.random.default_rng(22).standard_normal(R.dim))
+    unit = set_valued_inverse(R, y).point
+    for k in range(-900, 901, 25):
+        point = set_valued_inverse(R, np.ldexp(y, k)).point
+        np.testing.assert_array_equal(point, np.ldexp(unit, k), err_msg=f"k = {k}")
 
 
 def test_set_valued_inverse_invertible_case():

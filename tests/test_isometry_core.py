@@ -415,25 +415,49 @@ def test_dense_multiplicities_reject_an_odd_cluster():
     "args, kwargs, match",
     [
         (("bogus", 3, 3), {}, "unknown isometry kind 'bogus'"),
-        (("rotator", 3, 4), {}, "rotator isometry needs cos_sin"),
-        (("circular_shift", 3, 6), {}, "circular_shift isometry needs block_dim"),
-        (("dense", 3, 2), {}, "dense isometry needs matrix"),
-        (("rotator", 3, 3), {"cos_sin": (-0.5, 0.75**0.5)}, "dim must be even, got 3"),
-        (("circular_shift", 3, 5), {"block_dim": 2}, r"order \* block_dim = 6, got 5"),
+        (("dense", 3, 2), {}, r"a \(2, 2\) matrix, got shape None"),
+        (("rotator", 3, 3), {}, "dim must be even, got 3"),
+        (("circular_shift", 3, 5), {}, "dim must be a multiple of 3, got 5"),
         (("dense", 3, 2), {"matrix": np.eye(3)}, r"a \(2, 2\) matrix, got shape \(3, 3\)"),
         (("dense", 2, 2), {"matrix": [[1.0, 0.0], [0.0, 1.0]]}, "got shape None"),
-        (("rotator", 1, 2), {"cos_sin": (1.0, 0.0)}, "order must be an integer >= 2, got 1"),
-        (("circular_shift", 3, 0), {"block_dim": 0}, "dim must be an integer >= 1, got 0"),
+        (("rotator", 1, 2), {}, "order must be an integer >= 2, got 1"),
+        (("circular_shift", 3, 0), {}, "dim must be an integer >= 1, got 0"),
+        (("rotator", 3, 2), {"matrix": np.eye(2)}, "rotator isometry takes no matrix"),
+        (("circular_shift", 3, 3), {"matrix": np.eye(3)}, "shift isometry takes no matrix"),
+        (("circular_shift", 4, 2), {}, "dim must be a multiple of 4, got 2"),
     ],
     ids=[
-        "kind", "no cos_sin", "no block_dim", "no matrix", "odd rotator", "shift dim",
-        "dense shape", "dense list", "order 1", "dim 0",
+        "kind", "no matrix", "odd rotator", "shift dim", "dense shape", "dense list", "order 1",
+        "dim 0", "rotator matrix", "shift matrix", "shift dim below order",
     ],
 )
 def test_bare_constructor_refuses_storage_that_does_not_fit(args, kwargs, match):
     # these used to construct and fail later, on apply or on the spectrum, with numpy errors
     with pytest.raises(ParameterError, match=match):
         FiniteOrderIsometry(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "bare, made",
+    [
+        (("rotator", 3, 2), make_rotator(3)),
+        (("rotator", 8, 6), make_rotator(8, 3)),
+        (("circular_shift", 4, 4), make_circular_shift(4)),
+        (("circular_shift", 5, 15), make_circular_shift(5, 3)),
+    ],
+    ids=["rotator-m3", "rotator-m8-b3", "shift-m4", "shift-m5-b3"],
+)
+def test_bare_rotator_and_shift_are_fixed_by_order_and_dim(bare, made):
+    R = FiniteOrderIsometry(*bare)
+    assert R.same_as(made) and made.same_as(R)
+    x = np.random.default_rng(4).standard_normal((R.dim, 3))
+    c = np.random.default_rng(5).standard_normal(R.order)
+    for k in range(R.order):
+        np.testing.assert_array_equal(R.apply_power(k, x), made.apply_power(k, x))
+    np.testing.assert_array_equal(R.apply(x), made.apply(x))
+    np.testing.assert_array_equal(R.apply_polynomial(c, x), made.apply_polynomial(c, x))
+    np.testing.assert_array_equal(R.eigen_multiplicities(), made.eigen_multiplicities())
+    np.testing.assert_array_equal(R.fixed_space_basis(), made.fixed_space_basis())
 
 
 def test_dense_spectrum_supports_orders_up_to_44428():

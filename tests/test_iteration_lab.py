@@ -130,10 +130,13 @@ def test_proximal_point_prepares_the_kernel_once(monkeypatch):
         assert t.iterations_used == (1 if case == "fixed-start" else 25), case
         assert prepared == [R], case
     # an operator prepares its kernel on its first apply, and its algebra prepares none
+    # on R: compose prepares one, on the order-m shift that convolves the coefficients
     R, gamma, x0, _, _ = PROXIMAL_CASES["dense"]
     prepared.clear()
     J = resolvent(R, gamma)
-    assert (J @ J + 2.0 * J - (-J)).operator_norm() > 0.0 and prepared == []
+    assert (J @ J + 2.0 * J - (-J)).operator_norm() > 0.0
+    assert [S.same_as(make_circular_shift(R.order)) for S in prepared] == [True]
+    prepared.clear()
     for _ in range(3):
         J.apply(x0)
     assert prepared == [R]

@@ -63,7 +63,7 @@ PUBLIC_PARAMETERS = {
         "label", "max_abs_deviation", "mean_abs_deviation", "samples", "tolerance", "passed",
         "seed",
     ],
-    "FiniteOrderIsometry": ["kind", "order", "dim", "cos_sin", "block_dim", "matrix"],
+    "FiniteOrderIsometry": ["kind", "order", "dim", "matrix"],
     "PolynomialOperator": ["operator", "coefficients"],
     "Trajectory": ["points", "residuals", "limit_estimate", "converged", "iterations_used"],
     "compare": ["op_a", "op_b", "n_samples", "tol", "seed", "label"],
