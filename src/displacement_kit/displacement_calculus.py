@@ -34,9 +34,9 @@ _ORTHONORMALITY_TOL = 1e-10
 class PolynomialOperator:
     """A linear operator sum_{k=0}^{m-1} c_k R^k bound to a finite-order isometry R.
 
-    Application is the kernel of :meth:`FiniteOrderIsometry.apply_polynomial`,
-    prepared once, on the first :meth:`apply` (threads that race there prepare
-    equal kernels), from ``coefficients``, a read-only copy of those given.  Its
+    Application is the polynomial kernel of R's kind, prepared once, on the
+    first :meth:`apply` (threads that race there prepare equal kernels), from
+    ``coefficients``, a read-only copy of those given.  Its
     cost depends on the kind of R: O(n + m) for a rotator, O(m n) up to
     SHIFT_CIRCULANT_MAX_ORDER and O(n log m) above it for a circular shift, and
     ceil(m/2) matvecs for a dense matrix (Horner in A^2 over the pairs of
@@ -100,9 +100,8 @@ class PolynomialOperator:
         the order-m shift's kernel, whose FFT above SHIFT_CIRCULANT_MAX_ORDER keeps each
         coefficient accurate relative to the largest one, not to itself."""
         self._check_same_operator(other)
-        shift = make_circular_shift(self.order)
-        product = shift.apply_polynomial(self.coefficients, other.coefficients)
-        return PolynomialOperator(self.operator, product)
+        shift = PolynomialOperator(make_circular_shift(self.order), self.coefficients)
+        return PolynomialOperator(self.operator, shift.apply(other.coefficients))
 
     __matmul__ = compose
 

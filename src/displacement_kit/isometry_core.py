@@ -7,11 +7,12 @@ and explicit dense matrices certified at construction time.
 
 Every evaluation path takes its operand through :func:`_as_operand`: a vector
 of length n, or an (n, B) block whose B columns are mapped at once.  Only this
-module knows the storage kinds, so it also evaluates polynomials
-sum_k c_k R^k x (:meth:`FiniteOrderIsometry.apply_polynomial`) with one kernel
-per kind, each working along axis 0: a rotator's polynomial is the single
-complex scalar p(e^{2*pi*i/m}) on every 2x2 block, O(nB + m); a shift's is a
-cyclic convolution along the block axis, an m x m circulant product in
+module knows the storage kinds, so it also prepares the kernel that evaluates
+a polynomial sum_k c_k R^k x (:meth:`FiniteOrderIsometry._polynomial_kernel`,
+prepared once by each PolynomialOperator), one kernel per kind, each working
+along axis 0: a rotator's polynomial is the single complex scalar
+p(e^{2*pi*i/m}) on every 2x2 block, O(nB + m); a shift's is a cyclic
+convolution along the block axis, an m x m circulant product in
 O(m nB) for m <= SHIFT_CIRCULANT_MAX_ORDER and an FFT in O(nB log m) above
 it; a dense matrix A splits the sum into even and odd powers,
 sum_j (A^2)^j (c_{2j} x + c_{2j+1} A x), and takes ceil(m/2) products, one with
@@ -205,7 +206,7 @@ class FiniteOrderIsometry:
     def apply(self, x) -> np.ndarray:
         """Return R x, or R X column by column for an (n, B) block X.
 
-        Kept apart from :meth:`apply_polynomial`: the dense oracle materializes R
+        Kept apart from :meth:`_polynomial_kernel`: the dense oracle materializes R
         through this method, so it must not share the polynomial kernels.
         """
         v = _as_operand(x, self.dim)
@@ -221,19 +222,10 @@ class FiniteOrderIsometry:
         return self.apply_power(self.order - 1, x)
 
     def apply_power(self, k, x) -> np.ndarray:
-        """Return R^k x = R^{k mod m} x: :meth:`apply_polynomial` with a unit coefficient."""
+        """Return R^k x = R^{k mod m} x: the polynomial kernel of a unit coefficient vector."""
         unit = np.zeros(self.order)
         unit[_check_int(k, "power", 0) % self.order] = 1.0
-        return self.apply_polynomial(unit, x)
-
-    def apply_polynomial(self, coefficients, x) -> np.ndarray:
-        """Return sum_k c_k R^k x for the coefficients (c_0, ..., c_{m-1}); x may be a block.
-
-        The kernel of :meth:`_polynomial_kernel` is prepared for this one call; a
-        :class:`PolynomialOperator` prepares it once for all of its applications.
-        """
-        c = _check_array(coefficients, "coefficients", (self.order,))
-        return self._polynomial_kernel(c)(_as_operand(x, self.dim))
+        return self._polynomial_kernel(unit)(_as_operand(x, self.dim))
 
     def _polynomial_kernel(self, c: np.ndarray):
         """v -> sum_k c_k R^k v for an operand checked by :func:`_as_operand`, with the
@@ -242,47 +234,67 @@ class FiniteOrderIsometry:
         Rotator: the scalar z = sum_k c_k w^k, w = e^{2*pi*i/m}, by Horner, then
         a I + b J with a + ib = z on each 2x2 block.  Shift: the circulant
         C[i, j] = c[(i - j) mod m] applied along the block axis, as a matrix
-        product up to SHIFT_CIRCULANT_MAX_ORDER and through rfft/irfft above, which
-        sums all m blocks and raises NumericError when that overflows.
+        product up to SHIFT_CIRCULANT_MAX_ORDER and through rfft/irfft above.
         Dense: with u = A x, sum_j (A^2)^j (c_{2j} x + c_{2j+1} u) by Horner in
         the stored square A^2: ceil(m/2) products in place of Horner's m-1, at the
         price of one more operand-sized temporary (u).
+
+        The kernel raises NumericError when its result is not finite, if it can
+        expand a vector: always on the FFT side, which sums all m blocks, and
+        otherwise when a bound on the norm of p(R) exceeds 1 by more than
+        rounding, decided here: |z| for a rotator, sum_k |c_k| for the others.
+        The resolvents, projector_fix and R^k skip the check.
         """
         m = self.order
+        # each name is a template, formatted only when its kernel raises
         if self.kind == ROTATOR:
             z = 0j
             for ck in c[::-1].tolist():
                 z = z * self._w + ck
-            return lambda v: self._rotate(v, z)
-        if self.kind == CIRCULAR_SHIFT:
-            if m <= SHIFT_CIRCULANT_MAX_ORDER:
-                circulant = c[(np.arange(m)[:, None] - np.arange(m)) % m]
-                return lambda v: (circulant @ self._blocks(v)).reshape(v.shape)
+            kernel, name = (lambda v: self._rotate(v, z)), "kernel of the order-{} rotator"
+            bound = abs(z)  # the norm of p(R) itself
+        elif self.kind == CIRCULAR_SHIFT and m <= SHIFT_CIRCULANT_MAX_ORDER:
+            # i - j lies in (-m, m), and a negative index wraps exactly as mod m would
+            circulant = c[np.arange(m)[:, None] - np.arange(m)]
+            name, bound = "circulant kernel of the order-{} shift", sum(map(abs, c.tolist()))
+
+            def kernel(v):
+                return (circulant @ self._blocks(v)).reshape(v.shape)
+
+        elif self.kind == CIRCULAR_SHIFT:
             symbol = np.fft.rfft(c)[:, None]
+            name, bound = "FFT kernel of the order-{} shift", math.inf
 
-            def fft(v):
-                out = np.fft.irfft(symbol * np.fft.rfft(self._blocks(v), axis=0), n=m, axis=0)
-                if not np.isfinite(out).all():  # the transform sums all m blocks
-                    raise NumericError(
-                        f"the FFT kernel of the order-{m} shift overflowed on a finite operand"
-                    )
-                return out.reshape(v.shape)
+            def kernel(v):
+                blocks = np.fft.rfft(self._blocks(v), axis=0)
+                return np.fft.irfft(symbol * blocks, n=m, axis=0).reshape(v.shape)
 
-            return fft
-        top = 2 * ((m - 1) // 2)  # the last even index; c[top + 1] may not exist
+        else:
+            top = 2 * ((m - 1) // 2)  # the last even index; c[top + 1] may not exist
+            name, bound = "kernel of the order-{} dense isometry", sum(map(abs, c.tolist()))
 
-        def dense(v):
-            u = self._matrix @ v
-            acc = c[top] * v
-            if top + 1 < m:
-                acc += c[top + 1] * u
-            for j in range(top - 2, -1, -2):
-                acc = self._square @ acc
-                acc += c[j] * v
-                acc += c[j + 1] * u
-            return acc
+            def kernel(v):
+                u = self._matrix @ v
+                acc = c[top] * v
+                if top + 1 < m:
+                    acc += c[top + 1] * u
+                for j in range(top - 2, -1, -2):
+                    acc = self._square @ acc
+                    acc += c[j] * v
+                    acc += c[j + 1] * u
+                return acc
 
-        return dense
+        # 2^-40 lies far above the rounding of coefficients whose bound is 1
+        if bound <= 1.0 + 2.0**-40:
+            return kernel
+
+        def checked(v):
+            out = kernel(v)
+            if not np.isfinite(out).all():
+                raise NumericError(f"the {name.format(m)} overflowed on a finite operand")
+            return out
+
+        return checked
 
     def eigen_multiplicities(self) -> np.ndarray:
         """mult[j], the multiplicity of the eigenvalue e^{2*pi*i*j/m} of R, for j < m.

@@ -106,7 +106,7 @@ def ergodic_mean(R: FiniteOrderIsometry, x0, n: int) -> np.ndarray:
     """Cesaro average (1/n) * sum_{k=0}^{n-1} R^k x0.
 
     Folded by R^k = R^{k mod m}: R^j occurs floor((n-1-j)/m) + 1 times, so the
-    mean is one :meth:`FiniteOrderIsometry.apply_polynomial`, O(m) for every n.
+    mean is one :meth:`PolynomialOperator.apply`, O(m) for every n.
     Whenever n is a multiple of the order this equals the fixed-space
     projection of x0 exactly; in general the deviation decays like O(m/n).
     """
@@ -115,7 +115,7 @@ def ergodic_mean(R: FiniteOrderIsometry, x0, n: int) -> np.ndarray:
     laps, last = divmod(n - 1, R.order)
     coefficients = np.full(R.order, laps / n)
     coefficients[: last + 1] = (laps + 1) / n
-    return R.apply_polynomial(coefficients, x0)
+    return PolynomialOperator(R, coefficients).apply(x0)
 
 
 def lipschitz_estimate(operator: PolynomialOperator) -> float:

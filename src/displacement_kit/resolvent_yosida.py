@@ -99,6 +99,11 @@ def yosida_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
     1/gamma.  They are built from the resolvent at 1/gamma without forming
     1/gamma; NumericError when their sum 1/gamma overflows, i.e. for gamma
     below ~5.6e-309.
+
+    Precision floor: off Fix R the symbol 1/(gamma + 1 - w^j) is O(1), while
+    each coefficient is about 1/(m gamma), so the sum cancels and the result
+    there loses about eps/gamma in relative terms (1.5e-7 at gamma = 1e-9 on
+    make_rotator(4)).  On Fix R the symbol is 1/gamma and nothing cancels.
     """
     g = _check_real(gamma, "gamma")
     return PolynomialOperator(R, _yosida_inverse_coefficients(R.order, g))
@@ -142,7 +147,7 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
         coefficients = resolvent_coefficients(S.order, g)
         if math.isfinite(ratio):  # otherwise q^K < eps lies below every float: the whole series
             coefficients *= _series_tail(S.order, log_q, max(0, math.ceil(ratio)))
-        return S.apply_polynomial(coefficients, x)
+        return PolynomialOperator(S, coefficients).apply(x)
     A = _check_array(S, "series operator", ("n", "n"))
     if not ratio <= SERIES_MAX_TERMS:  # inf fails too
         raise NumericError(

@@ -21,7 +21,7 @@ from displacement_kit.verification import standard_instances
 DENSE6 = next(
     R for R in standard_instances(max_m=6, max_dim=12, seed=3) if (R.kind, R.order) == ("dense", 6)
 )
-PATHS = ["R.apply", "apply_polynomial", "PolynomialOperator.apply", "displacement_apply"]
+PATHS = ["R.apply", "R.apply_power", "PolynomialOperator.apply", "displacement_apply"]
 KINDS = (
     [make_rotator(m, 3) for m in (2, 3, 8)]
     + [make_circular_shift(m, b) for m in (2, 128, 129, 1024) for b in (1, 2)]
@@ -39,7 +39,7 @@ def entry_points(R):
     c = coefficients_for(R)
     return {
         "R.apply": R.apply,
-        "apply_polynomial": lambda x: R.apply_polynomial(c, x),
+        "R.apply_power": lambda x: R.apply_power(1, x),
         "PolynomialOperator.apply": PolynomialOperator(R, c).apply,
         "displacement_apply": lambda x: displacement_apply(R, x),
     }

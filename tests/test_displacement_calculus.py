@@ -20,6 +20,7 @@ from displacement_kit import (
     make_rotator,
     materialize,
     oracle_projector_fix,
+    oracle_resolvent,
     projector_fix,
     projector_fix_complement,
     pseudo_inverse,
@@ -169,7 +170,8 @@ def test_kernel_matches_horner_and_power_sum(R):
             out = op.apply(X)
             msg = f"{name} {which}"
             assert out.shape == X.shape, msg
-            np.testing.assert_array_equal(out, R.apply_polynomial(coeffs, X), err_msg=msg)
+            fresh = PolynomialOperator(R, coeffs).apply(X)  # a kernel prepared for this call
+            np.testing.assert_array_equal(out, fresh, err_msg=msg)
             np.testing.assert_allclose(out, horner[:, columns], rtol=0, atol=1e-12, err_msg=msg)
             np.testing.assert_allclose(
                 out, power_sum[:, columns], rtol=0, atol=1e-12, err_msg=msg
@@ -190,6 +192,39 @@ def test_fft_kernel_refuses_a_result_that_overflowed(block_dim):
                 else:
                     with pytest.raises(NumericError, match=f"order-{m} shift overflowed"):
                         J.apply(x)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, SHIFT_CIRCULANT_MAX_ORDER])
+def test_circulant_kernel_equals_a_modulo_built_circulant(m):
+    # the kernel indexes c by i - j in (-m, m), which numpy wraps as (i - j) mod m
+    R = make_circular_shift(m, 2)
+    c = np.random.default_rng(m).standard_normal(m)
+    circulant = c[(np.arange(m)[:, None] - np.arange(m)) % m]
+    op = PolynomialOperator(R, c)
+    X = np.random.default_rng(m + 1).standard_normal((R.dim, 3))
+    for V in (X, X[:, 0]):
+        want = (circulant @ V.reshape(m, -1)).reshape(V.shape)
+        np.testing.assert_array_equal(op.apply(V), want)
+
+
+@pytest.mark.parametrize(
+    "R, x, kernel",
+    [
+        (make_circular_shift(8, 25), np.full(200, 1e10), "circulant kernel of the order-8 shift"),
+        (make_dense([[0.0, -1.0], [1.0, 0.0]], 4), np.array([1e10, 1e10]), "order-4 dense"),
+        (make_rotator(4), np.array([1e30, 1e30]), "order-4 rotator"),
+    ],
+    ids=["circulant", "dense", "rotator"],
+)
+def test_kernel_that_expands_refuses_a_result_that_overflowed(R, x, kernel):
+    # the coefficients of yosida_inverse sum to 1/gamma = 1e300: a result beyond the
+    # largest float raises, off the FFT side too, where it used to be inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=f"the {kernel}.* overflowed on a finite operand"):
+            yosida_inverse(R, 1e-300).apply(x)
+    # a resolvent cannot expand a vector: its kernel returns its result unchecked
+    want = oracle_resolvent(materialize(R), 1.0) @ x
+    np.testing.assert_allclose(resolvent(R, 1.0).apply(x), want, rtol=1e-12)
 
 
 class _CountedMatrix(np.ndarray):
@@ -213,7 +248,7 @@ def test_dense_kernel_takes_ceil_half_m_products(R):
         for coeffs in _kernel_coefficients(m).values():
             products["_matrix"].clear()
             products["_square"].clear()
-            R.apply_polynomial(coeffs, X)
+            PolynomialOperator(R, coeffs).apply(X)
             # one product with A for u = A x, then Horner over the pairs in A^2
             assert len(products["_matrix"]) == 1
             assert len(products["_square"]) == (m + 1) // 2 - 1
@@ -228,7 +263,9 @@ def test_bare_constructor_squares_a_dense_matrix():
     assert bare.same_as(R)
     x = np.arange(R.dim, dtype=float)
     coeffs = _kernel_coefficients(R.order)["random"]
-    np.testing.assert_array_equal(bare.apply_polynomial(coeffs, x), R.apply_polynomial(coeffs, x))
+    np.testing.assert_array_equal(
+        PolynomialOperator(bare, coeffs).apply(x), PolynomialOperator(R, coeffs).apply(x)
+    )
     assert make_rotator(3)._square is None and make_circular_shift(3)._square is None
 
 
@@ -242,16 +279,10 @@ def test_oracle_and_apply_do_not_read_the_square():
     np.testing.assert_array_equal(corrupted.apply(x), expected @ x)
     assert compare(corrupted, expected, tol=0.0).passed
     assert corrupted.same_as(R) and R.same_as(corrupted)
-    # the polynomial kernel does read it: the corruption shows there
-    assert np.isnan(corrupted.apply_polynomial(np.ones(R.order), x)).all()
-
-
-def test_apply_polynomial_rejects_bad_coefficients():
-    R = make_circular_shift(3)
-    with pytest.raises(ParameterError):
-        R.apply_polynomial([1.0, 0.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ParameterError):
-        R.apply_polynomial([1.0, np.nan, 0.0], [1.0, 2.0, 3.0])
+    # the polynomial kernel does read it: the corruption shows there, as a result
+    # that is not finite, which a kernel with sum |c_k| = m > 1 refuses
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="dense isometry"):
+        PolynomialOperator(corrupted, np.ones(R.order)).apply(x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -239,7 +239,7 @@ BAD_ARGUMENTS = {  # (call, name in the message); bool is no integer and no real
     "oracle resolvent 0 x 0": (lambda: oracle_resolvent(np.zeros((0, 0)), 1.0), "matrix"),
     "coefficients too short": (lambda: PolynomialOperator(SHIFT3, [1.0, 0.0]), "coefficients"),
     "coefficients with NaN": (
-        lambda: SHIFT3.apply_polynomial([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        lambda: PolynomialOperator(SHIFT3, [np.nan, 0.0, 0.0]),
         "coefficients",
     ),
 }
@@ -307,10 +307,10 @@ def test_apply_does_not_use_the_polynomial_kernel(R, monkeypatch):
     # the oracle's matrix comes from R.apply, so it must stay independent of the kernels
     expected = materialize(R)
 
-    def broken(self, coefficients, x):
-        raise AssertionError("apply_polynomial called")
+    def broken(self, coefficients):
+        raise AssertionError("_polynomial_kernel called")
 
-    monkeypatch.setattr(FiniteOrderIsometry, "apply_polynomial", broken)
+    monkeypatch.setattr(FiniteOrderIsometry, "_polynomial_kernel", broken)
     x = np.arange(R.dim, dtype=float)
     np.testing.assert_allclose(R.apply(x), expected @ x, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(materialize(R), expected)
@@ -455,7 +455,9 @@ def test_bare_rotator_and_shift_are_fixed_by_order_and_dim(bare, made):
     for k in range(R.order):
         np.testing.assert_array_equal(R.apply_power(k, x), made.apply_power(k, x))
     np.testing.assert_array_equal(R.apply(x), made.apply(x))
-    np.testing.assert_array_equal(R.apply_polynomial(c, x), made.apply_polynomial(c, x))
+    np.testing.assert_array_equal(
+        PolynomialOperator(R, c).apply(x), PolynomialOperator(made, c).apply(x)
+    )
     np.testing.assert_array_equal(R.eigen_multiplicities(), made.eigen_multiplicities())
     np.testing.assert_array_equal(R.fixed_space_basis(), made.fixed_space_basis())
 

@@ -104,3 +104,22 @@ def test_public_parameters_are_pinned():
             continue
         got[name] = list(inspect.signature(obj).parameters)
     assert got == PUBLIC_PARAMETERS
+
+
+#: the public methods of an isometry; a polynomial in R is evaluated by
+#: PolynomialOperator.apply alone, so there is no apply_polynomial
+ISOMETRY_METHODS = [
+    "adjoint_apply",
+    "apply",
+    "apply_power",
+    "eigen_multiplicities",
+    "fixed_space_basis",
+    "same_as",
+]
+
+
+def test_isometry_methods_are_pinned():
+    methods = vars(displacement_kit.FiniteOrderIsometry)
+    got = sorted(name for name, value in methods.items() if callable(value) and name[0] != "_")
+    assert got == ISOMETRY_METHODS
+    assert not hasattr(displacement_kit.make_rotator(3), "apply_polynomial")

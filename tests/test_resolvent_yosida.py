@@ -26,7 +26,7 @@ from displacement_kit import (
     yosida_inverse,
 )
 from displacement_kit.resolvent_yosida import SERIES_MAX_TERMS
-from displacement_kit.verification import standard_instances
+from displacement_kit.verification import conjugated_dense, standard_instances
 
 INSTANCES = standard_instances(max_m=6, max_dim=12, seed=3)
 IDS = lambda R: f"{R.kind}-m{R.order}-n{R.dim}"
@@ -378,6 +378,24 @@ def test_yosida_inverse_tiny_gamma(m):
     for gamma in (1e-310, 5e-324):
         with pytest.raises(NumericError, match=re.escape(f"overflow at gamma = {gamma!r}")):
             yosida_inverse(R, gamma)
+
+
+@pytest.mark.parametrize(
+    "R",
+    [make_rotator(3, 2), make_rotator(4), make_rotator(8, 2)]
+    + [conjugated_dense(make_rotator(m, 2), np.random.default_rng(m)) for m in (3, 5)],
+    ids=IDS,
+)
+def test_yosida_inverse_precision_floor_off_fix(R):
+    # the coefficients are about 1/(m gamma) each while the symbol off Fix R is
+    # 1/(gamma + 1 - w^j) = O(1): the sum cancels and loses about eps/gamma. A
+    # rotator has no Fix R, and the solve of gamma I + M is well conditioned.
+    x = np.random.default_rng(R.dim).standard_normal(R.dim)
+    M = np.eye(R.dim) - materialize(R)
+    for gamma in (1e-2, 1e-6, 1e-9):
+        want = np.linalg.solve(gamma * np.eye(R.dim) + M, x)
+        error = np.linalg.norm(yosida_inverse(R, gamma).apply(x) - want) / np.linalg.norm(want)
+        assert error <= 4 * np.finfo(float).eps / gamma, (gamma, error)
 
 
 def test_series_rejects_expansive_matrix():
