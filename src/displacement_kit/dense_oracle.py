@@ -4,7 +4,7 @@ Everything here works on explicit matrices with generic factorizations
 (LU solve, SVD) and never reuses the polynomial-coefficient arithmetic of the
 closed-form path; agreement between the two is the library's core evidence.
 The only code it shares with that path is input validation (the
-``_check_*`` helpers of isometry_core), which does no arithmetic.
+``_check_*`` helpers of isometry_core), which computes no result.
 
 An operator is a matrix or an object with ``dim`` and an ``apply`` that
 takes an (n, B) block.  It is applied to blocks: :func:`materialize` is one
@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ValidationError
-from .isometry_core import _check_array, _check_int, _check_real
+from .errors import NumericError, ParameterError
+from .isometry_core import _check_array, _check_int, _check_nonexpansive, _check_real
 
 #: residual allowed when inverting Id + gamma*(Id - A) by direct solve
 RESOLVENT_RESIDUAL_TOL = 1e-10
 #: relative singular-value threshold separating zero from nonzero spectrum
 DEFAULT_RANK_TOL = 1e-10
-#: operator-norm slack of _check_nonexpansive, the one test of a nonexpansive input
-NONEXPANSIVE_TOL = 1e-8
 #: entries of the largest block of samples that compare applies at once (1 MiB)
 _CHUNK_ENTRIES = 1 << 17
 
@@ -145,17 +143,6 @@ def oracle_projector_fix(A) -> np.ndarray:
     if null_rows.shape[0] == 0:
         return np.zeros((n, n))
     return null_rows.T @ null_rows
-
-
-def _check_nonexpansive(M: np.ndarray) -> np.ndarray:
-    """M, or ValidationError when its spectral norm exceeds 1 + NONEXPANSIVE_TOL."""
-    norm = float(np.linalg.norm(M, 2))
-    if norm > 1.0 + NONEXPANSIVE_TOL:
-        raise ValidationError(
-            f"operator is not nonexpansive: spectral norm {norm:.6f} exceeds "
-            f"1 + {NONEXPANSIVE_TOL:.1e}"
-        )
-    return M
 
 
 def compare(

@@ -7,20 +7,13 @@ and explicit dense matrices certified at construction time.
 
 Every evaluation path takes its operand through :func:`_as_operand`: a vector
 of length n, or an (n, B) block whose B columns are mapped at once.  Only this
-module knows the storage kinds, so it also prepares the kernel that evaluates
-a polynomial sum_k c_k R^k x (:meth:`FiniteOrderIsometry._polynomial_kernel`,
-prepared once by each PolynomialOperator), one kernel per kind, each working
-along axis 0: a rotator's polynomial is the single complex scalar
-p(e^{2*pi*i/m}) on every 2x2 block, O(nB + m); a shift's is a cyclic
-convolution along the block axis, an m x m circulant product in
-O(m nB) for m <= SHIFT_CIRCULANT_MAX_ORDER and an FFT in O(nB log m) above
-it; a dense matrix A splits the sum into even and odd powers,
-sum_j (A^2)^j (c_{2j} x + c_{2j+1} A x), and takes ceil(m/2) products, one with
-A and the rest by Horner in the square A^2 that the isometry stores (and
-make_dense's order certificate reuses): O(m n^2 B / 2), GEMMs for a block.
-R.apply keeps its own per-kind code and never reads the square; the adjoint
-and the powers R^k are the polynomial kernel with a unit coefficient vector,
-at its cost.
+module knows the storage kinds.  R has finite order, so a power R^k is one
+step per kind (:meth:`FiniteOrderIsometry._power`): a rotation by 2*pi*k/m, a
+roll of k blocks, or A^(k mod 2) times k // 2 products with the square A^2.
+R.apply, R.apply_power and the adjoint R^{m-1} all take it; R.apply is k = 1
+and never reads the square.  A polynomial sum_k c_k R^k x goes through the
+kernel of its kind (:meth:`FiniteOrderIsometry._polynomial_kernel`, prepared
+once by each PolynomialOperator), which states the cost of each.
 
 Each kind also states its spectrum, a multiplicity per m-th root of unity, and
 an orthonormal basis of Fix R: in closed form for a rotator and a shift, and
@@ -40,6 +33,8 @@ from .errors import NumericError, ParameterError, ValidationError
 
 #: max-norm tolerance used by :func:`make_dense` when certifying a matrix.
 DEFAULT_VALIDATION_TOL = 1e-10
+#: operator-norm slack of _check_nonexpansive, the one test of a nonexpansive input
+NONEXPANSIVE_TOL = 1e-8
 #: largest shift order whose polynomial is applied as a dense m x m circulant
 #: product; above it the FFT along the block axis is faster.  Measured on a
 #: 2-vCPU Xeon with one OpenBLAS thread: the FFT wins from m ~ 140 at n = 32768
@@ -143,6 +138,17 @@ def _check_array(value, name: str, shape: tuple) -> np.ndarray:
     return a
 
 
+def _check_nonexpansive(M: np.ndarray) -> np.ndarray:
+    """M, or ValidationError when its spectral norm exceeds 1 + NONEXPANSIVE_TOL."""
+    norm = float(np.linalg.norm(M, 2))
+    if norm > 1.0 + NONEXPANSIVE_TOL:
+        raise ValidationError(
+            f"operator is not nonexpansive: spectral norm {norm:.6f} exceeds "
+            f"1 + {NONEXPANSIVE_TOL:.1e}"
+        )
+    return M
+
+
 class FiniteOrderIsometry:
     """A linear isometry R with a certified order m, i.e. R^m = Id.
 
@@ -153,7 +159,7 @@ class FiniteOrderIsometry:
     instead of the bare constructor.
     """
 
-    __slots__ = ("kind", "order", "dim", "_w", "_matrix", "_square", "_spectrum")
+    __slots__ = ("kind", "order", "dim", "_matrix", "_square", "_spectrum")
 
     def __init__(self, kind, order, dim, *, matrix=None):
         # a rotator and a shift are fixed by (order, dim); nothing is certified here
@@ -172,10 +178,8 @@ class FiniteOrderIsometry:
             raise ParameterError(f"a circular_shift's dim must be a multiple of {order}, got {dim}")
         if kind == DENSE and shape != (self.dim, self.dim):
             raise ParameterError(f"dim {dim} needs a ({dim}, {dim}) matrix, got shape {shape}")
-        angle = 2.0 * math.pi / self.order  # rotator only: w = e^{2*pi*i/m}, made once here
-        self._w = complex(math.cos(angle), math.sin(angle)) if kind == ROTATOR else None
         self._matrix = matrix
-        # dense only: A @ A for the polynomial kernel, one more n x n array
+        # dense only: A @ A for R^k and the polynomial kernel, one more n x n array
         self._square = matrix @ matrix if matrix is not None else None
         self._spectrum = None  # dense only: (multiplicities, Fix basis), made on first use
 
@@ -209,50 +213,74 @@ class FiniteOrderIsometry:
         Kept apart from :meth:`_polynomial_kernel`: the dense oracle materializes R
         through this method, so it must not share the polynomial kernels.
         """
-        v = _as_operand(x, self.dim)
-        if self.kind == ROTATOR:
-            return self._rotate(v, self._w)
-        if self.kind == CIRCULAR_SHIFT:
-            blocks = self._blocks(v)
-            return np.concatenate((blocks[-1:], blocks[:-1])).reshape(v.shape)
-        return self._matrix @ v
+        return self._power(_as_operand(x, self.dim), 1)
 
     def adjoint_apply(self, x) -> np.ndarray:
         """Return R* x, which for an order-m isometry equals R^{m-1} x."""
         return self.apply_power(self.order - 1, x)
 
     def apply_power(self, k, x) -> np.ndarray:
-        """Return R^k x = R^{k mod m} x: the polynomial kernel of a unit coefficient vector."""
-        unit = np.zeros(self.order)
-        unit[_check_int(k, "power", 0) % self.order] = 1.0
-        return self._polynomial_kernel(unit)(_as_operand(x, self.dim))
+        """Return R^k x = R^{k mod m} x."""
+        k = _check_int(k, "power", 0) % self.order
+        return self._power(_as_operand(x, self.dim), k)
+
+    def _power(self, v: np.ndarray, k: int) -> np.ndarray:
+        """R^k v for 0 <= k < m and an operand checked by :func:`_as_operand`.
+
+        Rotator: one rotation by the angle 2*pi*k/m, O(nB).  Shift: a roll of k
+        blocks, O(nB) and exact (a copy at k = 0).  Dense: A^(k mod 2), then
+        k // 2 products with the stored square, O(k n^2 B / 2); k = 1 never reads
+        the square.  NumericError when a rotation or a product is not finite: an
+        isometry can move up to sqrt(n) max|v| into one entry.  A roll cannot.
+        """
+        if self.kind == CIRCULAR_SHIFT:
+            blocks = self._blocks(v)
+            return np.concatenate((blocks[-k:], blocks[:-k])).reshape(v.shape)
+        if self.kind == ROTATOR:
+            angle = 2.0 * math.pi * k / self.order
+            out = self._rotate(v, complex(math.cos(angle), math.sin(angle)))
+        else:
+            out = self._matrix @ v if k % 2 else v.copy()
+            for _ in range(k // 2):
+                out = self._square @ out
+        if not np.isfinite(out).all():
+            raise NumericError(
+                f"R^{k} of the order-{self.order} {self.kind} isometry overflowed "
+                "on a finite operand"
+            )
+        return out
 
     def _polynomial_kernel(self, c: np.ndarray):
         """v -> sum_k c_k R^k v for an operand checked by :func:`_as_operand`, with the
         work on ``c`` alone done here; ``c`` must not change while the kernel is used.
 
-        Rotator: the scalar z = sum_k c_k w^k, w = e^{2*pi*i/m}, by Horner, then
-        a I + b J with a + ib = z on each 2x2 block.  Shift: the circulant
-        C[i, j] = c[(i - j) mod m] applied along the block axis, as a matrix
-        product up to SHIFT_CIRCULANT_MAX_ORDER and through rfft/irfft above.
-        Dense: with u = A x, sum_j (A^2)^j (c_{2j} x + c_{2j+1} u) by Horner in
-        the stored square A^2: ceil(m/2) products in place of Horner's m-1, at the
-        price of one more operand-sized temporary (u).
+        Rotator, O(nB + m) for an (n, B) operand: the scalar z = sum_k c_k w^k,
+        w = e^{2*pi*i/m}, by Horner, then a I + b J with a + ib = z on each 2x2
+        block.  Shift: the circulant C[i, j] = c[(i - j) mod m] along the block
+        axis, a matrix product in O(m nB) up to SHIFT_CIRCULANT_MAX_ORDER and
+        rfft/irfft in O(nB log m) above.  Dense, O(m n^2 B / 2): with u = A x,
+        sum_j (A^2)^j (c_{2j} x + c_{2j+1} u) by Horner in the stored square A^2
+        (which make_dense's certificate reuses): ceil(m/2) products in place of
+        Horner's m-1, GEMMs for a block, at the price of one more operand-sized
+        temporary (u).
 
         The kernel raises NumericError when its result is not finite, if it can
-        expand a vector: always on the FFT side, which sums all m blocks, and
-        otherwise when a bound on the norm of p(R) exceeds 1 by more than
-        rounding, decided here: |z| for a rotator, sum_k |c_k| for the others.
-        The resolvents, projector_fix and R^k skip the check.
+        expand an entry: always on the FFT side, which sums all m blocks, and on
+        the dense side, where A x can hold sqrt(n) max|x| in one entry, and
+        otherwise when a bound on the max-norm of p(R) exceeds 1 by more than
+        rounding, decided here: |Re z| + |Im z| for a rotator, the max-norm of
+        its 2x2 block, and sum_k |c_k| for a circulant.  A shift's resolvents
+        and projector_fix skip the check.
         """
         m = self.order
         # each name is a template, formatted only when its kernel raises
         if self.kind == ROTATOR:
-            z = 0j
+            angle = 2.0 * math.pi / m
+            w, z = complex(math.cos(angle), math.sin(angle)), 0j
             for ck in c[::-1].tolist():
-                z = z * self._w + ck
+                z = z * w + ck
             kernel, name = (lambda v: self._rotate(v, z)), "kernel of the order-{} rotator"
-            bound = abs(z)  # the norm of p(R) itself
+            bound = abs(z.real) + abs(z.imag)
         elif self.kind == CIRCULAR_SHIFT and m <= SHIFT_CIRCULANT_MAX_ORDER:
             # i - j lies in (-m, m), and a negative index wraps exactly as mod m would
             circulant = c[np.arange(m)[:, None] - np.arange(m)]
@@ -271,7 +299,7 @@ class FiniteOrderIsometry:
 
         else:
             top = 2 * ((m - 1) // 2)  # the last even index; c[top + 1] may not exist
-            name, bound = "kernel of the order-{} dense isometry", sum(map(abs, c.tolist()))
+            name, bound = "kernel of the order-{} dense isometry", math.inf
 
             def kernel(v):
                 u = self._matrix @ v
@@ -384,8 +412,8 @@ class FiniteOrderIsometry:
 def make_rotator(m: int, blocks: int = 1) -> FiniteOrderIsometry:
     """Block-diagonal rotation by the angle 2*pi/m on R^(2*blocks).
 
-    cos/sin are evaluated once at construction so repeated applications do not
-    re-enter libm.  The order m holds to machine precision by construction.
+    R^k is one rotation by 2*pi*k/m, its cos/sin evaluated on each call, so
+    R^m = Id holds to machine precision by construction.
     """
     m = _check_int(m, "order", 2)
     blocks = _check_int(blocks, "blocks", 1)
@@ -405,8 +433,9 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
 
     Accepts iff max|A^T A - I| <= tol and max|A^m - I| <= tol; the raised
     ValidationError names whichever bound failed.  A^m is taken through the
-    square S = A @ A that the isometry keeps for its polynomial kernel, as
-    S^(m//2), times A for odd m, in as many products as A^m by repeated squaring.
+    square S = A @ A that the isometry keeps for R^k and its polynomial kernel,
+    as S^(m//2), times A for odd m, in as many products as A^m by repeated
+    squaring.
     """
     A = _check_array(matrix, "matrix", ("n", "n"))
     m = _check_int(m, "order", 2)

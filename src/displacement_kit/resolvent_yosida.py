@@ -12,10 +12,16 @@ import math
 
 import numpy as np
 
-from .dense_oracle import _check_nonexpansive
 from .errors import NumericError
 from .displacement_calculus import PolynomialOperator
-from .isometry_core import FiniteOrderIsometry, _check_array, _check_int, _check_real, as_vector
+from .isometry_core import (
+    FiniteOrderIsometry,
+    _check_array,
+    _check_int,
+    _check_nonexpansive,
+    _check_real,
+    as_vector,
+)
 
 
 def resolvent_coefficients(m: int, gamma: float) -> np.ndarray:
@@ -54,14 +60,14 @@ def _geometric_coefficients(m: int, q: float, one_minus_q: float, log_q: float) 
     return np.power(q, np.arange(m)) * (one_minus_q / -math.expm1(m * log_q))
 
 
-def _identity_minus_geometric(m: int, q: float, one_minus_q: float, log_q: float) -> np.ndarray:
+def _identity_minus(c: np.ndarray, q: float, log_q: float) -> np.ndarray:
     """e_0 - c for the geometric coefficients c of :func:`_geometric_coefficients`.
 
     c_0 = (1-q)/(1-q^m) tends to 1 as q -> 0, where 1 - c_0 would cancel, so
     above c_0 = 1/2 it is evaluated as q (1 - q^{m-1}) / (1 - q^m), both
     factors by expm1.  Below 1/2 the plain difference loses nothing.
     """
-    c = _geometric_coefficients(m, q, one_minus_q, log_q)
+    m = c.size
     if c[0] > 0.5:
         head = q * math.expm1((m - 1) * log_q) / math.expm1(m * log_q)
     else:
@@ -82,14 +88,24 @@ def resolvent_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperato
     1/gamma is never formed, so every gamma the forward resolvent accepts works;
     as gamma -> 0 the operator tends to the projector onto (Fix R)^perp.
     """
-    g = _check_real(gamma, "gamma")
-    return PolynomialOperator(R, _identity_minus_geometric(R.order, *_inverse_ratio(g)))
+    q, one_minus_q, log_q = _inverse_ratio(_check_real(gamma, "gamma"))
+    c = _geometric_coefficients(R.order, q, one_minus_q, log_q)
+    return PolynomialOperator(R, _identity_minus(c, q, log_q))
 
 
 def yosida(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
-    """Yosida approximation of Id - R with index gamma: (Id - resolvent)/gamma."""
+    """Yosida approximation of Id - R with index gamma: (Id - resolvent)/gamma.
+
+    For k >= 1 its coefficient -c_k/gamma, with c the resolvent's, is taken as
+    -(1-q) c_{k-1}, since q/gamma = 1-q: no q^k underflows before the division.
+    """
     g = _check_real(gamma, "gamma")
-    return PolynomialOperator(R, _identity_minus_geometric(R.order, *_forward_ratio(g)) / g)
+    q, one_minus_q, log_q = _forward_ratio(g)
+    c = _geometric_coefficients(R.order, q, one_minus_q, log_q)
+    y = _identity_minus(c, q, log_q)
+    y[0] /= g
+    y[1:] = -one_minus_q * c[:-1]
+    return PolynomialOperator(R, y)
 
 
 def yosida_inverse(R: FiniteOrderIsometry, gamma: float) -> PolynomialOperator:
@@ -135,18 +151,21 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
     error by eps * ||x||.  S may be a FiniteOrderIsometry or a finite square
     matrix; matrices are summed term by term, K matvecs, after two checks:
     NumericError when K is not finite or exceeds SERIES_MAX_TERMS,
-    ValidationError when the spectral norm exceeds 1 + NONEXPANSIVE_TOL.  For a FiniteOrderIsometry the
-    terms are folded by R^k = R^{k mod m} into m coefficients and applied once,
-    O(m) work and memory for every gamma.
+    ValidationError when the spectral norm exceeds 1 + NONEXPANSIVE_TOL.  For a
+    FiniteOrderIsometry the sum is J - q^{K+1} R^{K+1} J, with J the resolvent,
+    since the terms beyond K are q^{K+1} R^{K+1} times the whole series: on J's
+    coefficients c that is c - q^{K+1} roll(c, K+1), applied once, O(m) work
+    and memory for every gamma.
     """
     g = _check_real(gamma, "gamma")
     eps = _check_real(eps, "eps")
-    log_q = -math.log1p(1.0 / g)
+    q, one_minus_q, log_q = _forward_ratio(g)
     ratio = math.log(eps) / log_q  # K = ceil(ratio); inf only for gamma beyond ~2e305
     if isinstance(S, FiniteOrderIsometry):
-        coefficients = resolvent_coefficients(S.order, g)
+        coefficients = _geometric_coefficients(S.order, q, one_minus_q, log_q)
         if math.isfinite(ratio):  # otherwise q^K < eps lies below every float: the whole series
-            coefficients *= _series_tail(S.order, log_q, max(0, math.ceil(ratio)))
+            shift = max(0, math.ceil(ratio)) + 1
+            coefficients -= math.exp(shift * log_q) * np.roll(coefficients, shift)
         return PolynomialOperator(S, coefficients).apply(x)
     A = _check_array(S, "series operator", ("n", "n"))
     if not ratio <= SERIES_MAX_TERMS:  # inf fails too
@@ -157,8 +176,7 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
     _check_nonexpansive(A)
     v = as_vector(x, A.shape[0])
 
-    q = g / (1.0 + g)
-    weight = 1.0 / (1.0 + g)  # q^k * (1 - q) as the loop advances
+    weight = one_minus_q  # q^k * (1 - q) as the loop advances
     total = weight * v
     power = v
     for _ in range(max(0, math.ceil(ratio))):
@@ -166,15 +184,3 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
         weight *= q
         total += weight * power
     return total
-
-
-def _series_tail(m: int, log_q: float, terms: int) -> np.ndarray:
-    """1 - q^{m N_j}, j < m: the share of the resolvent coefficient of R^j kept by
-    the series up to R^K, where R^j collects N_j = floor((K-j)/m) + 1 terms
-    (none when j > K).  With K = laps*m + last, m N_j is K - last + m for
-    j <= last and K - last above."""
-    laps, last = divmod(terms, m)
-    # laps >= 1 implies K >= 2, so log_q is finite and the product is not 0 * inf
-    tail = np.full(m, -math.expm1((terms - last) * log_q) if laps else 0.0)
-    tail[: last + 1] = -math.expm1((terms - last + m) * log_q)
-    return tail

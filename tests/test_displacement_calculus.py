@@ -222,9 +222,32 @@ def test_kernel_that_expands_refuses_a_result_that_overflowed(R, x, kernel):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=f"the {kernel}.* overflowed on a finite operand"):
             yosida_inverse(R, 1e-300).apply(x)
-    # a resolvent cannot expand a vector: its kernel returns its result unchecked
+    # a resolvent cannot expand a vector: its result is finite, checked or not
     want = oracle_resolvent(materialize(R), 1.0) @ x
     np.testing.assert_allclose(resolvent(R, 1.0).apply(x), want, rtol=1e-12)
+
+
+TURN_EIGHTH = make_dense([[np.sqrt(0.5), -np.sqrt(0.5)], [np.sqrt(0.5), np.sqrt(0.5)]], 8)
+DIAGONAL = np.array([1.5e308, 1.5e308])
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda: make_rotator(8).apply(DIAGONAL),
+        lambda: make_rotator(8).apply_power(1, DIAGONAL),
+        lambda: TURN_EIGHTH.apply(DIAGONAL),
+        lambda: PolynomialOperator(make_rotator(8), np.eye(8)[1]).apply(DIAGONAL),
+        lambda: resolvent(TURN_EIGHTH, 0.01).apply(DIAGONAL),
+    ],
+    ids=["rotator apply", "rotator power", "dense apply", "rotator kernel", "dense resolvent"],
+)
+def test_a_turn_that_overflows_one_entry_raises(apply):
+    # an eighth of a turn moves sqrt(2) * 1.5e308 into one entry: these returned
+    # [1.7e292, inf] or [nan, nan], since |p(w)| = 1 and sum |c_k| = 1 skipped the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="overflowed on a finite operand"):
+            apply()
 
 
 class _CountedMatrix(np.ndarray):

@@ -314,6 +314,29 @@ def test_apply_does_not_use_the_polynomial_kernel(R, monkeypatch):
     x = np.arange(R.dim, dtype=float)
     np.testing.assert_allclose(R.apply(x), expected @ x, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(materialize(R), expected)
+    # the powers and the adjoint are one step per kind too, not a unit polynomial
+    np.testing.assert_allclose(R.apply_power(2, x), expected @ expected @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(R.adjoint_apply(x), expected.T @ x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [8, 128, 129, 200, 1024])
+def test_shift_powers_are_the_block_roll(m):
+    # above order 128 they used to go through the FFT kernel, 1e-15 off the permutation
+    R = make_circular_shift(m, 2)
+    X = np.random.default_rng(m).standard_normal((R.dim, 3))
+    for k in sorted({0, 1, 2, m // 2, m - 1, m + 3, *range(0, m, 61)}):
+        for V in (X, X[:, 0], np.asfortranarray(X)):
+            want = np.roll(V.reshape(m, -1), k, axis=0).reshape(V.shape)
+            np.testing.assert_array_equal(R.apply_power(k, V), want, err_msg=f"k={k}")
+    np.testing.assert_array_equal(R.adjoint_apply(X), np.roll(X, -2, axis=0))
+
+
+def test_rotator_adjoint_is_one_rotation():
+    # the adjoint of make_rotator(1024) used to be a 1024-term Horner sum, 3.5e-14 off
+    angle = 2 * np.pi * 1023 / 1024
+    want = np.array([np.cos(angle), np.sin(angle)])
+    got = make_rotator(1024).adjoint_apply([1.0, 0.0])
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), got - want
 
 
 @pytest.mark.parametrize("R", INSTANCES, ids=lambda R: f"{R.kind}-m{R.order}-n{R.dim}")

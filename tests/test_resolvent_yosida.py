@@ -285,6 +285,31 @@ def test_all_families_match_exact_fractions_at_extreme_gamma(m, gamma):
         assert float(error / max(abs(b) for b in exact)) <= 1e-15, op
 
 
+def _exact_yosida(m, gamma):
+    """yosida's coefficients at gamma = a/b, each correctly rounded: with s = a + b and
+    D = s^m - a^m, c_0 = b (s^(m-1) - a^(m-1)) / D and c_k = -a^(k-1) b^2 s^(m-1-k) / D."""
+    a, b = float(gamma).as_integer_ratio()
+    s = a + b
+    D = s**m - a**m
+    # the division of two ints rounds correctly
+    return [b * (s ** (m - 1) - a ** (m - 1)) / D] + [
+        -(a ** (k - 1)) * b * b * s ** (m - 1 - k) / D for k in range(1, m)
+    ]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 17, 64])
+def test_yosida_coefficients_keep_their_relative_precision(m):
+    # c_k / gamma for k >= 1 is -(1 - q) times the resolvent's c_{k-1}: q^k / gamma
+    # used to underflow first, so yosida(make_rotator(3), 1e-230) had c_2 = -0.0
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    R = make_circular_shift(m)
+    for gamma in [*np.logspace(-300, 300, 61).tolist(), 1e-230, 3e-200, 7e150]:
+        got = yosida(R, gamma).coefficients.tolist()
+        for k, (a, b) in enumerate(zip(got, _exact_yosida(m, gamma))):
+            if abs(b) >= tiny:  # where the exact value is a normal float
+                assert abs(a - b) <= 4 * (k + 1) * eps * abs(b), (gamma, k, a, b)
+
+
 # --- truncated series ------------------------------------------------------------------
 
 
@@ -339,11 +364,15 @@ def test_series_accepts_certified_dense_matrix():
 @pytest.mark.parametrize("R", INSTANCES, ids=IDS)
 def test_folded_series_matches_matrix_term_loop(R):
     # reference: the term-by-term sum over powers of the materialized matrix;
-    # eps = 0.1 stops inside the first laps, so the fold's partial laps are hit
+    # eps = 0.1 stops inside the first laps, and eps = q^(K - 1/2) stops the sum at
+    # K (log eps / log q = K - 1/2): inside the first lap, at its end and up to 3m
     rng = np.random.default_rng(21)
     A = materialize(R)
+    m = R.order
     for gamma in (0.01, 1.0, 100.0):
-        for eps in (1e-12, 0.1):
+        q = gamma / (1 + gamma)
+        stops = [q ** (K - 0.5) for K in (0, 1, m - 1, m, 2 * m + 1, 3 * m)]
+        for eps in (1e-12, 0.1, *stops):
             x = rng.standard_normal(R.dim)
             x /= np.linalg.norm(x)
             np.testing.assert_allclose(
