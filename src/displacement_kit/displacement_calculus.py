@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ValidationError
+from .errors import ParameterError, ValidationError
 from .isometry_core import (
     FiniteOrderIsometry,
     _as_operand,
     _check_array,
     _check_real,
+    _finite,
     _is_finite_real,
     _real_array,
     as_vector,
@@ -87,7 +88,8 @@ class PolynomialOperator:
         O(m log m) after the multiplicities.
         """
         symbol = self.order * np.fft.ifft(self.coefficients)
-        return float(np.max(np.abs(symbol[self.operator.eigen_multiplicities() > 0])))
+        norm = float(np.max(np.abs(symbol[self.operator.eigen_multiplicities() > 0])))
+        return _finite(norm, "the operator norm exceeds the largest float")
 
     def _check_same_operator(self, other: "PolynomialOperator") -> None:
         if not isinstance(other, PolynomialOperator):
@@ -105,19 +107,23 @@ class PolynomialOperator:
 
     __matmul__ = compose
 
+    def _with(self, c: np.ndarray) -> "PolynomialOperator":
+        # a sum, difference or multiple of finite coefficients can exceed the largest float
+        return PolynomialOperator(self.operator, _finite(c, "the coefficients overflowed"))
+
     def __add__(self, other: "PolynomialOperator") -> "PolynomialOperator":
         self._check_same_operator(other)
-        return PolynomialOperator(self.operator, self.coefficients + other.coefficients)
+        return self._with(self.coefficients + other.coefficients)
 
     def __sub__(self, other: "PolynomialOperator") -> "PolynomialOperator":
         self._check_same_operator(other)
-        return PolynomialOperator(self.operator, self.coefficients - other.coefficients)
+        return self._with(self.coefficients - other.coefficients)
 
     def __mul__(self, scalar) -> "PolynomialOperator":
         """Scale by any finite real; bool, strings and NaN raise ParameterError."""
         if not _is_finite_real(scalar):
             raise ParameterError(f"a polynomial operator scales by a finite real, got {scalar!r}")
-        return PolynomialOperator(self.operator, self.coefficients * float(scalar))
+        return self._with(self.coefficients * float(scalar))
 
     __rmul__ = __mul__
 
@@ -173,13 +179,14 @@ class AffineSubspace:
     def element(self, weights) -> np.ndarray:
         """Return point + sum_i weights[i] * basis[i]."""
         w = _check_array(weights, "weights", (self.degrees_of_freedom,))
-        return self.point + w @ self.basis
+        return _finite(self.point + w @ self.basis, "the element exceeds the largest float")
 
 
 def displacement_apply(R: FiniteOrderIsometry, x) -> np.ndarray:
     """Apply the displacement mapping: x - Rx, column by column for an (n, B) block."""
     v = _as_operand(x, R.dim)
-    return v - R.apply(v)
+    message = "the displacement of the order-{} {} isometry overflowed on a finite operand"
+    return _finite(v - R.apply(v), message, R.order, R.kind)
 
 
 def displacement(R: FiniteOrderIsometry) -> PolynomialOperator:
@@ -243,6 +250,5 @@ def set_valued_inverse(R: FiniteOrderIsometry, y, tol: float = RANGE_MEMBERSHIP_
         return None
     with np.errstate(over="ignore"):  # refused below, by name
         point = np.ldexp(pseudo_inverse(R).apply(unit), e)
-    if not np.isfinite(point).all():
-        raise NumericError("the minimum-norm point of the solution set exceeds the largest float")
-    return AffineSubspace(point=point, basis=R.fixed_space_basis())
+    message = "the minimum-norm point of the solution set exceeds the largest float"
+    return AffineSubspace(point=_finite(point, message), basis=R.fixed_space_basis())

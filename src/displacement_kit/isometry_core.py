@@ -138,6 +138,18 @@ def _check_array(value, name: str, shape: tuple) -> np.ndarray:
     return a
 
 
+def _finite(value, message: str, *args):
+    """``value``, or NumericError(message.format(*args)) when an entry is not finite.
+
+    The one refusal of a computed result that overflowed; the message is
+    formatted only when it raises.
+    """
+    finite = np.isfinite(value)
+    if np.count_nonzero(finite) != finite.size:  # half the cost of .all() on a short vector
+        raise NumericError(message.format(*args))
+    return value
+
+
 def _check_nonexpansive(M: np.ndarray) -> np.ndarray:
     """M, or ValidationError when its spectral norm exceeds 1 + NONEXPANSIVE_TOL."""
     norm = float(np.linalg.norm(M, 2))
@@ -243,12 +255,8 @@ class FiniteOrderIsometry:
             out = self._matrix @ v if k % 2 else v.copy()
             for _ in range(k // 2):
                 out = self._square @ out
-        if not np.isfinite(out).all():
-            raise NumericError(
-                f"R^{k} of the order-{self.order} {self.kind} isometry overflowed "
-                "on a finite operand"
-            )
-        return out
+        message = "R^{} of the order-{} {} isometry overflowed on a finite operand"
+        return _finite(out, message, k, self.order, self.kind)
 
     def _polynomial_kernel(self, c: np.ndarray):
         """v -> sum_k c_k R^k v for an operand checked by :func:`_as_operand`, with the
@@ -264,42 +272,39 @@ class FiniteOrderIsometry:
         Horner's m-1, GEMMs for a block, at the price of one more operand-sized
         temporary (u).
 
-        The kernel raises NumericError when its result is not finite, if it can
-        expand an entry: always on the FFT side, which sums all m blocks, and on
-        the dense side, where A x can hold sqrt(n) max|x| in one entry, and
-        otherwise when a bound on the max-norm of p(R) exceeds 1 by more than
-        rounding, decided here: |Re z| + |Im z| for a rotator, the max-norm of
-        its 2x2 block, and sum_k |c_k| for a circulant.  A shift's resolvents
-        and projector_fix skip the check.
+        Every kernel raises NumericError when its result is not finite.  A
+        bound of 1 on the max-norm of p(R) (|Re z| + |Im z| for a rotator,
+        sum_k |c_k| for a circulant) keeps the exact result within max|x|, but
+        not its rounding: the order-2 shift's resolvent at gamma = 1e-3 maps
+        (max, max), max the largest float, to (inf, inf).
         """
         m = self.order
-        # each name is a template, formatted only when its kernel raises
         if self.kind == ROTATOR:
             angle = 2.0 * math.pi / m
             w, z = complex(math.cos(angle), math.sin(angle)), 0j
             for ck in c[::-1].tolist():
                 z = z * w + ck
-            kernel, name = (lambda v: self._rotate(v, z)), "kernel of the order-{} rotator"
-            bound = abs(z.real) + abs(z.imag)
+            name = "kernel of the order-{} rotator"
+            kernel = lambda v: _finite(self._rotate(v, z), message, m)
         elif self.kind == CIRCULAR_SHIFT and m <= SHIFT_CIRCULANT_MAX_ORDER:
             # i - j lies in (-m, m), and a negative index wraps exactly as mod m would
             circulant = c[np.arange(m)[:, None] - np.arange(m)]
-            name, bound = "circulant kernel of the order-{} shift", sum(map(abs, c.tolist()))
+            name = "circulant kernel of the order-{} shift"
 
             def kernel(v):
-                return (circulant @ self._blocks(v)).reshape(v.shape)
+                return _finite((circulant @ self._blocks(v)).reshape(v.shape), message, m)
 
         elif self.kind == CIRCULAR_SHIFT:
             symbol = np.fft.rfft(c)[:, None]
-            name, bound = "FFT kernel of the order-{} shift", math.inf
+            name = "FFT kernel of the order-{} shift"
 
             def kernel(v):
-                blocks = np.fft.rfft(self._blocks(v), axis=0)
-                return np.fft.irfft(symbol * blocks, n=m, axis=0).reshape(v.shape)
+                out = np.fft.irfft(symbol * np.fft.rfft(self._blocks(v), axis=0), n=m, axis=0)
+                return _finite(out.reshape(v.shape), message, m)
 
         else:
             top = 2 * ((m - 1) // 2)  # the last even index; c[top + 1] may not exist
-            name, bound = "kernel of the order-{} dense isometry", math.inf
+            name = "kernel of the order-{} dense isometry"
 
             def kernel(v):
                 u = self._matrix @ v
@@ -310,19 +315,11 @@ class FiniteOrderIsometry:
                     acc = self._square @ acc
                     acc += c[j] * v
                     acc += c[j + 1] * u
-                return acc
+                return _finite(acc, message, m)
 
-        # 2^-40 lies far above the rounding of coefficients whose bound is 1
-        if bound <= 1.0 + 2.0**-40:
-            return kernel
-
-        def checked(v):
-            out = kernel(v)
-            if not np.isfinite(out).all():
-                raise NumericError(f"the {name.format(m)} overflowed on a finite operand")
-            return out
-
-        return checked
+        # a template, formatted only when a kernel raises
+        message = f"the {name} overflowed on a finite operand"
+        return kernel
 
     def eigen_multiplicities(self) -> np.ndarray:
         """mult[j], the multiplicity of the eigenvalue e^{2*pi*i*j/m} of R, for j < m.

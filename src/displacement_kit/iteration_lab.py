@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .displacement_calculus import PolynomialOperator
-from .errors import NumericError, ParameterError
-from .isometry_core import FiniteOrderIsometry, _check_int, _check_real, as_vector
+from .errors import ParameterError
+from .isometry_core import FiniteOrderIsometry, _check_int, _check_real, _finite, as_vector
 from .resolvent_yosida import resolvent
 
 
@@ -97,9 +97,7 @@ def _step_norm(d: np.ndarray, k: int) -> float:
     exponent = math.frexp(float(np.abs(d).max()))[1]  # 0 for 0, inf and NaN
     unit = np.ldexp(d, -exponent)
     norm = float(np.ldexp(math.sqrt(unit.dot(unit)), exponent))  # inf when it overflows
-    if not math.isfinite(norm):
-        raise NumericError(f"the norm of proximal-point step {k} is not a finite float")
-    return norm
+    return _finite(norm, "the norm of proximal-point step {} is not a finite float", k)
 
 
 def ergodic_mean(R: FiniteOrderIsometry, x0, n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from .isometry_core import (
     _check_int,
     _check_nonexpansive,
     _check_real,
+    _finite,
     as_vector,
 )
 
@@ -131,11 +132,8 @@ def _yosida_inverse_coefficients(m: int, g: float) -> np.ndarray:
         total = float(np.sum(c))
     # the sum is p(1), a value of the symbol: when it overflows, so does the
     # operator on Fix R, even if each of the m coefficients is finite
-    if not math.isfinite(total):
-        raise NumericError(
-            f"Yosida inverse coefficients overflow at gamma = {g!r}: they sum to "
-            f"1/gamma, which exceeds the largest float"
-        )
+    message = "Yosida inverse coefficients overflow at gamma = {!r}: they sum to 1/gamma, "
+    _finite(total, message + "which exceeds the largest float", g)
     return c
 
 
@@ -183,4 +181,4 @@ def series_resolvent_apply(S, gamma: float, x, eps: float) -> np.ndarray:
         power = A @ power
         weight *= q
         total += weight * power
-    return total
+    return _finite(total, "the series at gamma = {!r} overflowed on a finite operand", g)

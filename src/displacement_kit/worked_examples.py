@@ -4,6 +4,13 @@ These are the fully worked 2x2 / 3x3 operator families (resolvent, inverse
 resolvent, both Yosida approximations) written out entrywise as rational
 expressions in gamma, independent of the coefficient machinery.  They serve
 as ground truth for the reproduction command and the acceptance suite.
+
+Each expression is written in (a, b) with gamma = a/b: its numerator and
+denominator in gamma, times b to the denominator's degree, become polynomials
+of that one degree in a and b, so (1 + g)/(1 + 2g + 2g^2) is (b^2 + ab)/(b^2 +
+2ab + 2a^2).  They are evaluated at (gamma, 1) up to gamma = 1, where they are
+the expressions in gamma term for term, and at (1, 1/gamma) above, so that no
+power of gamma overflows: each denominator then holds a term of 1 or more.
 """
 
 from __future__ import annotations
@@ -22,91 +29,98 @@ OPERATOR_NAMES = ("resolvent", "resolvent_inverse", "yosida", "yosida_inverse")
 _SQRT3 = math.sqrt(3.0)
 
 
+def _ratio(gamma: float) -> tuple:
+    """(a, b) with a / b = gamma and max(a, b) = 1."""
+    g = _check_real(gamma, "gamma")
+    return (g, 1.0) if g <= 1.0 else (1.0, 1.0 / g)
+
+
 def rotator_closed_forms(m: int, gamma: float) -> dict:
     """The four operator matrices for the plane rotation by 2*pi/m, m in {2, 3, 4}."""
-    g = _check_real(gamma, "gamma")
+    a, b = _ratio(gamma)
     eye = np.eye(2)
     if m == 2:
         return {
-            "resolvent": eye / (1.0 + 2.0 * g),
-            "resolvent_inverse": eye * (2.0 / (2.0 + g)),
-            "yosida": eye * (2.0 / (1.0 + 2.0 * g)),
-            "yosida_inverse": eye / (2.0 + g),
+            "resolvent": eye * (b / (b + 2.0 * a)),
+            "resolvent_inverse": eye * (2.0 * b / (2.0 * b + a)),
+            "yosida": eye * (2.0 * b / (b + 2.0 * a)),
+            "yosida_inverse": eye * (b / (2.0 * b + a)),
         }
+    bb, ab = b * b, a * b
     if m == 3:
-        d_fwd = 2.0 + 6.0 * g + 6.0 * g * g
-        d_inv = 6.0 + 6.0 * g + 2.0 * g * g
+        d_fwd = 2.0 * bb + 6.0 * ab + 6.0 * a * a
+        d_inv = 6.0 * bb + 6.0 * ab + 2.0 * a * a
         return {
             "resolvent": np.array(
-                [[2.0 + 3.0 * g, -_SQRT3 * g], [_SQRT3 * g, 2.0 + 3.0 * g]]
+                [[2.0 * bb + 3.0 * ab, -_SQRT3 * ab], [_SQRT3 * ab, 2.0 * bb + 3.0 * ab]]
             ) / d_fwd,
             "resolvent_inverse": np.array(
-                [[6.0 + 3.0 * g, _SQRT3 * g], [-_SQRT3 * g, 6.0 + 3.0 * g]]
+                [[6.0 * bb + 3.0 * ab, _SQRT3 * ab], [-_SQRT3 * ab, 6.0 * bb + 3.0 * ab]]
             ) / d_inv,
             "yosida": np.array(
-                [[3.0 + 6.0 * g, _SQRT3], [-_SQRT3, 3.0 + 6.0 * g]]
+                [[3.0 * bb + 6.0 * ab, _SQRT3 * bb], [-_SQRT3 * bb, 3.0 * bb + 6.0 * ab]]
             ) / d_fwd,
             "yosida_inverse": np.array(
-                [[3.0 + 2.0 * g, -_SQRT3], [_SQRT3, 3.0 + 2.0 * g]]
+                [[3.0 * bb + 2.0 * ab, -_SQRT3 * bb], [_SQRT3 * bb, 3.0 * bb + 2.0 * ab]]
             ) / d_inv,
         }
     if m == 4:
-        d_fwd = 1.0 + 2.0 * g + 2.0 * g * g
-        d_inv = 2.0 + 2.0 * g + g * g
+        d_fwd = bb + 2.0 * ab + 2.0 * a * a
+        d_inv = 2.0 * bb + 2.0 * ab + a * a
         return {
-            "resolvent": np.array([[1.0 + g, -g], [g, 1.0 + g]]) / d_fwd,
-            "resolvent_inverse": np.array([[2.0 + g, g], [-g, 2.0 + g]]) / d_inv,
-            "yosida": np.array([[1.0 + 2.0 * g, 1.0], [-1.0, 1.0 + 2.0 * g]]) / d_fwd,
-            "yosida_inverse": np.array([[1.0 + g, -1.0], [1.0, 1.0 + g]]) / d_inv,
+            "resolvent": np.array([[bb + ab, -ab], [ab, bb + ab]]) / d_fwd,
+            "resolvent_inverse": np.array([[2.0 * bb + ab, ab], [-ab, 2.0 * bb + ab]]) / d_inv,
+            "yosida": np.array([[bb + 2.0 * ab, bb], [-bb, bb + 2.0 * ab]]) / d_fwd,
+            "yosida_inverse": np.array([[bb + ab, -bb], [bb, bb + ab]]) / d_inv,
         }
     raise ParameterError(f"rotator closed forms are tabulated for m in {ROTATOR_ORDERS}, got {m!r}")
 
 
 def shift_closed_forms(m: int, gamma: float) -> dict:
     """The four operator matrices for the circular right shift on R^m, m in {2, 3}."""
-    g = _check_real(gamma, "gamma")
+    a, b = _ratio(gamma)
+    p = b + a
     if m == 2:
-        d_fwd = 1.0 + 2.0 * g
-        d_inv = 2.0 + g
+        d_fwd = b + 2.0 * a
+        d_inv = 2.0 * b + a
         return {
-            "resolvent": np.array([[1.0 + g, g], [g, 1.0 + g]]) / d_fwd,
-            "resolvent_inverse": np.array([[1.0, -1.0], [-1.0, 1.0]]) / d_inv,
-            "yosida": np.array([[1.0, -1.0], [-1.0, 1.0]]) / d_fwd,
-            "yosida_inverse": np.array([[1.0 + g, 1.0], [1.0, 1.0 + g]]) / (d_inv * g),
+            "resolvent": np.array([[p, a], [a, p]]) / d_fwd,
+            "resolvent_inverse": np.array([[b, -b], [-b, b]]) / d_inv,
+            "yosida": np.array([[b, -b], [-b, b]]) / d_fwd,
+            "yosida_inverse": np.array([[p * b, b * b], [b * b, p * b]]) / (d_inv * a),
         }
     if m == 3:
-        d_fwd = 1.0 + 3.0 * g + 3.0 * g * g
-        d_inv = 3.0 + 3.0 * g + g * g
-        p = 1.0 + g
+        d_fwd = b * b + 3.0 * a * b + 3.0 * a * a
+        d_inv = 3.0 * b * b + 3.0 * a * b + a * a
         return {
             "resolvent": np.array(
                 [
-                    [p * p, g * g, p * g],
-                    [p * g, p * p, g * g],
-                    [g * g, p * g, p * p],
+                    [p * p, a * a, p * a],
+                    [p * a, p * p, a * a],
+                    [a * a, p * a, p * p],
                 ]
             ) / d_fwd,
             "resolvent_inverse": np.array(
                 [
-                    [2.0 + g, -1.0, -p],
-                    [-p, 2.0 + g, -1.0],
-                    [-1.0, -p, 2.0 + g],
+                    [(2.0 * b + a) * b, -b * b, -p * b],
+                    [-p * b, (2.0 * b + a) * b, -b * b],
+                    [-b * b, -p * b, (2.0 * b + a) * b],
                 ]
             ) / d_inv,
             "yosida": np.array(
                 [
-                    [1.0 + 2.0 * g, -g, -p],
-                    [-p, 1.0 + 2.0 * g, -g],
-                    [-g, -p, 1.0 + 2.0 * g],
+                    [(b + 2.0 * a) * b, -a * b, -p * b],
+                    [-p * b, (b + 2.0 * a) * b, -a * b],
+                    [-a * b, -p * b, (b + 2.0 * a) * b],
                 ]
             ) / d_fwd,
             "yosida_inverse": np.array(
                 [
-                    [p * p, 1.0, p],
-                    [p, p * p, 1.0],
-                    [1.0, p, p * p],
+                    [p * p * b, b * b * b, p * b * b],
+                    [p * b * b, p * p * b, b * b * b],
+                    [b * b * b, p * b * b, p * p * b],
                 ]
-            ) / (d_inv * g),
+            ) / (d_inv * a),
         }
     raise ParameterError(f"shift closed forms are tabulated for m in {SHIFT_ORDERS}, got {m!r}")
 

@@ -364,6 +364,12 @@ def test_reproduce_paper_rational_gamma(capsys):
     np.testing.assert_allclose(case["matrix"], np.eye(2) / 2.0, rtol=0, atol=1e-14)
 
 
+def test_reproduce_paper_passes_at_gamma_1e200(capsys):
+    # the reference matrices overflowed here, and the command exited 1
+    code, data, _ = run_json(capsys, "reproduce-paper", "--gamma", "1e200")
+    assert (code, data["all_pass"]) == (0, True)
+
+
 def test_pretty_and_csv_formats_smoke(capsys):
     code, out, _ = run(
         capsys, "show", "--kind", "rotator", "--m", "4", "--format", "pretty"

@@ -18,10 +18,12 @@ from displacement_kit import (
     oracle_projector_fix,
     projector_fix,
     projector_fix_complement,
+    pseudo_inverse,
     resolvent,
     resolvent_coefficients,
     resolvent_inverse,
     series_resolvent_apply,
+    skew_part,
     yosida,
     yosida_inverse,
 )
@@ -306,6 +308,65 @@ def test_yosida_coefficients_keep_their_relative_precision(m):
     for gamma in [*np.logspace(-300, 300, 61).tolist(), 1e-230, 3e-200, 7e150]:
         got = yosida(R, gamma).coefficients.tolist()
         for k, (a, b) in enumerate(zip(got, _exact_yosida(m, gamma))):
+            if abs(b) >= tiny:  # where the exact value is a normal float
+                assert abs(a - b) <= 4 * (k + 1) * eps * abs(b), (gamma, k, a, b)
+
+
+def _exact_coefficients(family, m, gamma):
+    """The family's coefficients at gamma = a/b, each correctly rounded, as in
+    _exact_yosida: with s = a + b, the resolvent at gamma has the ratio a/s, and
+    at 1/gamma the ratio b/s."""
+    a, b = float(gamma).as_integer_ratio()
+    s = a + b
+    s_powers = [1]  # s^j for j < m, each made once: the test takes them 64 * m times
+    for _ in range(m - 1):
+        s_powers.append(s_powers[-1] * s)
+
+    def numerators(r, t):  # r^k t s^(m-1-k) for k < m
+        out = []
+        for k in range(m):
+            out.append(t * s_powers[m - 1 - k])
+            t *= r
+        return out
+
+    if family == "resolvent":
+        D = s_powers[-1] * s - a**m
+        return [n / D for n in numerators(a, b)]
+    D = s_powers[-1] * s - b**m
+    if family == "resolvent_inverse":  # e_0 minus the resolvent at 1/gamma
+        return [b * (s_powers[-1] - b ** (m - 1)) / D] + [-n / D for n in numerators(b, a)[1:]]
+    if family == "yosida_inverse":  # the resolvent at 1/gamma, divided by gamma
+        return [n / D for n in numerators(b, b)]
+    return {  # the division of two ints rounds correctly
+        "pseudo_inverse": [(m - 1 - 2 * k) / (2 * m) for k in range(m)],
+        "projector_fix": [1 / m] * m,
+        "projector_fix_complement": [(m - 1) / m] + [-1 / m] * (m - 1),
+        "skew_part": [0.0] + [(m - 2 * k) / (2 * m) for k in range(1, m)],
+    }[family]
+
+
+FAMILY_BUILDERS = {
+    "resolvent": resolvent,
+    "resolvent_inverse": resolvent_inverse,
+    "yosida_inverse": yosida_inverse,
+    "pseudo_inverse": lambda R, gamma: pseudo_inverse(R),
+    "projector_fix": lambda R, gamma: projector_fix(R),
+    "projector_fix_complement": lambda R, gamma: projector_fix_complement(R),
+    "skew_part": lambda R, gamma: skew_part(R),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_BUILDERS)
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 17, 64])
+def test_coefficients_keep_their_relative_precision(m, family):
+    # the contract of test_yosida_coefficients_keep_their_relative_precision, for
+    # every other family; those without gamma take one value of it
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    R = make_circular_shift(m)
+    gammas = [*np.logspace(-300, 300, 61).tolist(), 1e-230, 3e-200, 7e150]
+    for gamma in gammas if family in ("resolvent", "resolvent_inverse", "yosida_inverse") else [1.0]:
+        got = FAMILY_BUILDERS[family](R, gamma).coefficients.tolist()
+        for k, (a, b) in enumerate(zip(got, _exact_coefficients(family, m, gamma))):
             if abs(b) >= tiny:  # where the exact value is a normal float
                 assert abs(a - b) <= 4 * (k + 1) * eps * abs(b), (gamma, k, a, b)
 

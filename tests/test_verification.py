@@ -1,11 +1,14 @@
 """The aggregated invariant battery and the reference-matrix reproduction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from displacement_kit import run_verification, reproduce_worked_examples, standard_instances
 from displacement_kit.verification import conjugated_dense
 from displacement_kit.worked_examples import (
+    _SQRT3,
     OPERATOR_NAMES,
     ParameterError,
     reference_cases,
@@ -103,6 +106,75 @@ def test_reference_entries_are_the_printed_formulas():
     inv_denom = 3 + 3 * g + g * g
     assert abs(sh3["resolvent_inverse"][0, 0] - (2 + g) / inv_denom) < 1e-15
     assert abs(sh3["yosida_inverse"][0, 0] - (1 + g) ** 2 / (inv_denom * g)) < 1e-15
+
+
+def _exact_forms(kind, m, g):
+    """The tabulated expressions in g, a Fraction, with sqrt(3) the float _SQRT3:
+    a rotator's matrices from (x, y) as [[x, -y], [y, x]], a shift's from the
+    first column c of the circulant C[i, j] = c[(i - j) mod m]."""
+    s, p = Fraction(_SQRT3), 1 + g
+    if kind == "rotator":
+        if m == 2:
+            xy = {
+                "resolvent": (1 / (1 + 2 * g), 0),
+                "resolvent_inverse": (2 / (2 + g), 0),
+                "yosida": (2 / (1 + 2 * g), 0),
+                "yosida_inverse": (1 / (2 + g), 0),
+            }
+        elif m == 3:
+            d_fwd, d_inv = 2 + 6 * g + 6 * g * g, 6 + 6 * g + 2 * g * g
+            xy = {
+                "resolvent": ((2 + 3 * g) / d_fwd, s * g / d_fwd),
+                "resolvent_inverse": ((6 + 3 * g) / d_inv, -s * g / d_inv),
+                "yosida": ((3 + 6 * g) / d_fwd, -s / d_fwd),
+                "yosida_inverse": ((3 + 2 * g) / d_inv, s / d_inv),
+            }
+        else:
+            d_fwd, d_inv = 1 + 2 * g + 2 * g * g, 2 + 2 * g + g * g
+            xy = {
+                "resolvent": (p / d_fwd, g / d_fwd),
+                "resolvent_inverse": ((2 + g) / d_inv, -g / d_inv),
+                "yosida": ((1 + 2 * g) / d_fwd, -1 / d_fwd),
+                "yosida_inverse": (p / d_inv, 1 / d_inv),
+            }
+        return {name: [[x, -y], [y, x]] for name, (x, y) in xy.items()}
+    if m == 2:
+        d_fwd, d_inv = 1 + 2 * g, 2 + g
+        columns = {
+            "resolvent": (p / d_fwd, g / d_fwd),
+            "resolvent_inverse": (1 / d_inv, -1 / d_inv),
+            "yosida": (1 / d_fwd, -1 / d_fwd),
+            "yosida_inverse": (p / (d_inv * g), 1 / (d_inv * g)),
+        }
+    else:
+        d_fwd, d_inv = 1 + 3 * g + 3 * g * g, 3 + 3 * g + g * g
+        columns = {
+            "resolvent": (p * p / d_fwd, p * g / d_fwd, g * g / d_fwd),
+            "resolvent_inverse": ((2 + g) / d_inv, -p / d_inv, -1 / d_inv),
+            "yosida": ((1 + 2 * g) / d_fwd, -p / d_fwd, -g / d_fwd),
+            "yosida_inverse": (p * p / (d_inv * g), p / (d_inv * g), 1 / (d_inv * g)),
+        }
+    return {
+        name: [[c[(i - j) % m] for j in range(m)] for i in range(m)]
+        for name, c in columns.items()
+    }
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e-5, 0.5, 1.0, 2.0, 1e5, 1e154, 1e200, 1e300])
+def test_reference_matrices_are_their_rational_expressions(gamma):
+    # powers of gamma overflowed from ~1e154 on: NaN entries at 1e155, and at 1e200
+    # a rotator m = 3 matrix of zeros that the absolute tolerance let pass
+    for case in reference_cases(gamma):
+        exact = _exact_forms(case["kind"], case["m"], Fraction(gamma))[case["operator"]]
+        want = [entry for row in exact for entry in row]
+        ulp = Fraction(np.spacing(max(abs(float(entry)) for entry in want)))
+        for got, entry in zip(case["matrix"].ravel().tolist(), want):
+            assert abs(Fraction(got) - entry) <= 4 * ulp, (case["kind"], case["m"], case["operator"])
+
+
+@pytest.mark.parametrize("gamma", [1e154, 1e200, 1e300])
+def test_reproduction_passes_at_large_gamma(gamma):
+    assert all(row["pass"] for row in reproduce_worked_examples(gamma))
 
 
 def test_reference_rejects_untabulated_orders():
