@@ -37,7 +37,8 @@ class PolynomialOperator:
 
     Application is the polynomial kernel of R's kind, prepared once, on the
     first :meth:`apply` (threads that race there prepare equal kernels), from
-    ``coefficients``, a read-only copy of those given.  Its
+    ``coefficients``, a read-only copy of those given.  The kernel does
+    arithmetic only, and :meth:`apply` refuses its result when it overflowed.  Its
     cost depends on the kind of R: O(n + m) for a rotator, O(m n) up to
     SHIFT_CIRCULANT_MAX_ORDER and O(n log m) above it for a circular shift, and
     ceil(m/2) matvecs for a dense matrix (Horner in A^2 over the pairs of
@@ -76,9 +77,11 @@ class PolynomialOperator:
 
     def apply(self, x) -> np.ndarray:
         """Evaluate sum_k c_k R^k x with the kernel for the kind of R; x may be an (n, B) block."""
-        if self._kernel is None:
+        if self._kernel is None:  # (kernel, name) in one slot: a racing thread reads both
             self._kernel = self.operator._polynomial_kernel(self.coefficients)
-        return self._kernel(_as_operand(x, self.dim))
+        kernel, name = self._kernel
+        out = kernel(_as_operand(x, self.dim))
+        return _finite(out, "the {} overflowed on a finite operand", name)
 
     def operator_norm(self) -> float:
         """Exact operator norm: max |p(w^j)| over the eigenvalues w^j that R has.
@@ -102,13 +105,13 @@ class PolynomialOperator:
         the order-m shift's kernel, whose FFT above SHIFT_CIRCULANT_MAX_ORDER keeps each
         coefficient accurate relative to the largest one, not to itself."""
         self._check_same_operator(other)
-        shift = PolynomialOperator(make_circular_shift(self.order), self.coefficients)
-        return PolynomialOperator(self.operator, shift.apply(other.coefficients))
+        kernel, _ = make_circular_shift(self.order)._polynomial_kernel(self.coefficients)
+        return self._with(kernel(other.coefficients))
 
     __matmul__ = compose
 
     def _with(self, c: np.ndarray) -> "PolynomialOperator":
-        # a sum, difference or multiple of finite coefficients can exceed the largest float
+        # a sum, difference, multiple or product of finite coefficients can exceed the largest float
         return PolynomialOperator(self.operator, _finite(c, "the coefficients overflowed"))
 
     def __add__(self, other: "PolynomialOperator") -> "PolynomialOperator":
@@ -186,7 +189,7 @@ def displacement_apply(R: FiniteOrderIsometry, x) -> np.ndarray:
     """Apply the displacement mapping: x - Rx, column by column for an (n, B) block."""
     v = _as_operand(x, R.dim)
     message = "the displacement of the order-{} {} isometry overflowed on a finite operand"
-    return _finite(v - R.apply(v), message, R.order, R.kind)
+    return _finite(v - R._power(v, 1), message, R.order, R.kind)
 
 
 def displacement(R: FiniteOrderIsometry) -> PolynomialOperator:

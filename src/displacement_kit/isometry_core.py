@@ -13,7 +13,9 @@ roll of k blocks, or A^(k mod 2) times k // 2 products with the square A^2.
 R.apply, R.apply_power and the adjoint R^{m-1} all take it; R.apply is k = 1
 and never reads the square.  A polynomial sum_k c_k R^k x goes through the
 kernel of its kind (:meth:`FiniteOrderIsometry._polynomial_kernel`, prepared
-once by each PolynomialOperator), which states the cost of each.
+once by each PolynomialOperator), which states the cost of each.  A kernel
+does arithmetic only; the evaluation that calls it refuses an overflowed
+result, once, through :func:`_finite`.
 
 Each kind also states its spectrum, a multiplicity per m-th root of unity, and
 an orthonormal basis of Fix R: in closed form for a rotator and a shift, and
@@ -259,8 +261,9 @@ class FiniteOrderIsometry:
         return _finite(out, message, k, self.order, self.kind)
 
     def _polynomial_kernel(self, c: np.ndarray):
-        """v -> sum_k c_k R^k v for an operand checked by :func:`_as_operand`, with the
-        work on ``c`` alone done here; ``c`` must not change while the kernel is used.
+        """(kernel, name): the kernel v -> sum_k c_k R^k v for an operand checked by
+        :func:`_as_operand`, with the work on ``c`` alone done here, and the kernel's
+        name for a message; ``c`` must not change while the kernel is used.
 
         Rotator, O(nB + m) for an (n, B) operand: the scalar z = sum_k c_k w^k,
         w = e^{2*pi*i/m}, by Horner, then a I + b J with a + ib = z on each 2x2
@@ -272,11 +275,8 @@ class FiniteOrderIsometry:
         Horner's m-1, GEMMs for a block, at the price of one more operand-sized
         temporary (u).
 
-        Every kernel raises NumericError when its result is not finite.  A
-        bound of 1 on the max-norm of p(R) (|Re z| + |Im z| for a rotator,
-        sum_k |c_k| for a circulant) keeps the exact result within max|x|, but
-        not its rounding: the order-2 shift's resolvent at gamma = 1e-3 maps
-        (max, max), max the largest float, to (inf, inf).
+        A kernel does arithmetic only and returns an overflowed result as it is;
+        its caller refuses it, once, as :meth:`PolynomialOperator.apply` does by name.
         """
         m = self.order
         if self.kind == ROTATOR:
@@ -284,42 +284,34 @@ class FiniteOrderIsometry:
             w, z = complex(math.cos(angle), math.sin(angle)), 0j
             for ck in c[::-1].tolist():
                 z = z * w + ck
-            name = "kernel of the order-{} rotator"
-            kernel = lambda v: _finite(self._rotate(v, z), message, m)
-        elif self.kind == CIRCULAR_SHIFT and m <= SHIFT_CIRCULANT_MAX_ORDER:
+            return (lambda v: self._rotate(v, z)), f"kernel of the order-{m} rotator"
+        if self.kind == CIRCULAR_SHIFT and m <= SHIFT_CIRCULANT_MAX_ORDER:
             # i - j lies in (-m, m), and a negative index wraps exactly as mod m would
             circulant = c[np.arange(m)[:, None] - np.arange(m)]
-            name = "circulant kernel of the order-{} shift"
-
-            def kernel(v):
-                return _finite((circulant @ self._blocks(v)).reshape(v.shape), message, m)
-
-        elif self.kind == CIRCULAR_SHIFT:
+            kernel = lambda v: (circulant @ self._blocks(v)).reshape(v.shape)
+            return kernel, f"circulant kernel of the order-{m} shift"
+        if self.kind == CIRCULAR_SHIFT:
             symbol = np.fft.rfft(c)[:, None]
-            name = "FFT kernel of the order-{} shift"
 
             def kernel(v):
                 out = np.fft.irfft(symbol * np.fft.rfft(self._blocks(v), axis=0), n=m, axis=0)
-                return _finite(out.reshape(v.shape), message, m)
+                return out.reshape(v.shape)
 
-        else:
-            top = 2 * ((m - 1) // 2)  # the last even index; c[top + 1] may not exist
-            name = "kernel of the order-{} dense isometry"
+            return kernel, f"FFT kernel of the order-{m} shift"
+        top = 2 * ((m - 1) // 2)  # the last even index; c[top + 1] may not exist
 
-            def kernel(v):
-                u = self._matrix @ v
-                acc = c[top] * v
-                if top + 1 < m:
-                    acc += c[top + 1] * u
-                for j in range(top - 2, -1, -2):
-                    acc = self._square @ acc
-                    acc += c[j] * v
-                    acc += c[j + 1] * u
-                return _finite(acc, message, m)
+        def kernel(v):
+            u = self._matrix @ v
+            acc = c[top] * v
+            if top + 1 < m:
+                acc += c[top + 1] * u
+            for j in range(top - 2, -1, -2):
+                acc = self._square @ acc
+                acc += c[j] * v
+                acc += c[j + 1] * u
+            return acc
 
-        # a template, formatted only when a kernel raises
-        message = f"the {name} overflowed on a finite operand"
-        return kernel
+        return kernel, f"kernel of the order-{m} dense isometry"
 
     def eigen_multiplicities(self) -> np.ndarray:
         """mult[j], the multiplicity of the eigenvalue e^{2*pi*i*j/m} of R, for j < m.

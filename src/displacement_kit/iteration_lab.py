@@ -50,18 +50,18 @@ def proximal_point(
     linear maps the iterates converge to the fixed-space projection of x0.
     x0 is checked once, and every step runs the resolvent's kernel, prepared once.
     The residuals are finite and scale exactly with x0 by powers of two, as
-    long as the iterates are normal floats; NumericError at the first step
-    that is not finite or whose norm overflows.
+    long as the iterates are normal floats.  The step norm is the one refusal per
+    step: NumericError at the first step that is not finite or whose norm overflows.
     """
     max_iter = _check_int(max_iter, "max_iter", 1)
     stop_tol = _check_real(stop_tol, "stop_tol", allow_zero=True)
-    kernel = R._polynomial_kernel(resolvent(R, gamma).coefficients)
+    kernel, _ = R._polynomial_kernel(resolvent(R, gamma).coefficients)
     x = as_vector(x0, R.dim)
     points = [x]
     residuals: list = []
     converged = False
-    # d.d overflows for large finite steps, and any other overflow leaves a step
-    # or a norm that is not finite, which _step_norm refuses: no warning is needed
+    # d.d overflows for large finite steps, and an iterate that overflowed leaves a
+    # step that is not finite: _step_norm refuses both, and no warning is needed
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iter + 1):
             x_next = kernel(x)
@@ -97,7 +97,8 @@ def _step_norm(d: np.ndarray, k: int) -> float:
     exponent = math.frexp(float(np.abs(d).max()))[1]  # 0 for 0, inf and NaN
     unit = np.ldexp(d, -exponent)
     norm = float(np.ldexp(math.sqrt(unit.dot(unit)), exponent))  # inf when it overflows
-    return _finite(norm, "the norm of proximal-point step {} is not a finite float", k)
+    message = "the norm of proximal-point step {} is not a finite float after an overflow"
+    return _finite(norm, message, k)
 
 
 def ergodic_mean(R: FiniteOrderIsometry, x0, n: int) -> np.ndarray:

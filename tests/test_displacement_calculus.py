@@ -31,6 +31,7 @@ from displacement_kit import (
     yosida,
     yosida_inverse,
 )
+from displacement_kit import displacement_calculus, isometry_core
 from displacement_kit.isometry_core import SHIFT_CIRCULANT_MAX_ORDER
 from displacement_kit.verification import conjugated_dense, skew_part_folded, standard_instances
 
@@ -49,6 +50,22 @@ def test_displacement_half_turn_doubles():
 def test_displacement_shift():
     R = make_circular_shift(3)
     np.testing.assert_array_equal(displacement_apply(R, [1.0, 2.0, 3.0]), [-2.0, 1.0, 1.0])
+
+
+def test_displacement_apply_converts_its_operand_once(monkeypatch):
+    R, x = make_rotator(3), [1.0, 2.0]
+    want = np.array(x) - R.apply(x)
+    calls = []
+    original = isometry_core._as_operand
+
+    def counted(x, dim):
+        calls.append(dim)
+        return original(x, dim)
+
+    for module in (isometry_core, displacement_calculus):
+        monkeypatch.setattr(module, "_as_operand", counted)
+    np.testing.assert_array_equal(displacement_apply(R, x), want)
+    assert calls == [2]
 
 
 def test_displacement_range_orthogonal_to_diagonal():

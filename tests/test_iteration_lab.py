@@ -20,6 +20,7 @@ from displacement_kit import (
     resolvent,
     resolvent_inverse,
 )
+from displacement_kit import displacement_calculus, isometry_core, iteration_lab
 from displacement_kit.verification import conjugated_dense, standard_instances
 
 INSTANCES = standard_instances(max_m=6, max_dim=12, seed=3)
@@ -150,6 +151,29 @@ def test_proximal_point_refuses_an_iterate_that_overflowed():
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="overflow"):
                 proximal_point(R, 1.0, np.full(200, 1e307), max_iter=max_iter)
+
+
+def test_proximal_point_refuses_an_overflowed_iterate_by_its_step():
+    # the kernel returns the overflowed iterate as it is, and the step norm refuses it,
+    # naming the step; the loop keeps numpy's overflow warnings to itself
+    with pytest.raises(NumericError, match="step 1"):
+        proximal_point(make_circular_shift(200), 1.0, np.full(200, 1e307), max_iter=2)
+
+
+@pytest.mark.parametrize("case", ["rotator", "circulant", "fft"])
+def test_a_normal_proximal_step_makes_no_finiteness_check(case, monkeypatch):
+    # the step norm's bound test is the one refusal of a normal step: no _finite call
+    calls = []
+
+    def counted(value, message, *args):
+        calls.append(message)
+        return value
+
+    for module in (isometry_core, displacement_calculus, iteration_lab):
+        monkeypatch.setattr(module, "_finite", counted)
+    R, gamma, x0, _, _ = PROXIMAL_CASES[case]
+    assert proximal_point(R, gamma, x0, max_iter=25, stop_tol=0.0).iterations_used == 25
+    assert calls == []
 
 
 def test_proximal_point_refuses_a_step_whose_norm_overflows():

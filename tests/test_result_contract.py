@@ -58,6 +58,21 @@ def test_an_overflowed_result_raises(evaluate):
             evaluate()
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: PolynomialOperator(SHIFT_2, [MAX, MAX]) + PolynomialOperator(SHIFT_2, [MAX, MAX]),
+        lambda: resolvent(SHIFT_2, 1e-3) @ PolynomialOperator(SHIFT_2, [MAX, MAX]),
+    ],
+    ids=["sum", "compose"],
+)
+def test_overflowed_coefficients_raise_one_message(evaluate):
+    # a product convolves by the order-m shift's kernel and refuses as a sum does
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="the coefficients overflowed"):
+            evaluate()
+
+
 _RNG = np.random.default_rng(22)
 KINDS = [
     make_rotator(8, 2),
