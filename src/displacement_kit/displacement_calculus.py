@@ -41,8 +41,9 @@ class PolynomialOperator:
     arithmetic only, and :meth:`apply` refuses its result when it overflowed.  Its
     cost depends on the kind of R: O(n + m) for a rotator, O(m n) up to
     SHIFT_CIRCULANT_MAX_ORDER and O(n log m) above it for a circular shift, and
-    ceil(m/2) matvecs for a dense matrix (Horner in A^2 over the pairs of
-    coefficients); n becomes nB for an (n, B) block, and the matvecs GEMMs.
+    for a dense matrix log2(w) + ceil(m/w) - 1 reads of an n x n rung per vector
+    (baby steps and giant steps, w = 2, 4 or 8 by m) and w - 2 + ceil(m/w) GEMMs
+    on an (n, B) block, never more than ceil(m/2); n becomes nB for a block.
     Two operators over the same R add coefficientwise and compose by cyclic
     convolution of their coefficients, and any two of them commute.
     """

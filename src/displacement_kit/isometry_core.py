@@ -9,13 +9,15 @@ Every evaluation path takes its operand through :func:`_as_operand`: a vector
 of length n, or an (n, B) block whose B columns are mapped at once.  Only this
 module knows the storage kinds.  R has finite order, so a power R^k is one
 step per kind (:meth:`FiniteOrderIsometry._power`): a rotation by 2*pi*k/m, a
-roll of k blocks, or A^(k mod 2) times k // 2 products with the square A^2.
-R.apply, R.apply_power and the adjoint R^{m-1} all take it; R.apply is k = 1
-and never reads the square.  A polynomial sum_k c_k R^k x goes through the
+roll of k blocks, or products on the ladder A, A^2, A^4, ..., A^w that a dense
+isometry keeps for its polynomial kernel, one per set bit of k mod w and k // w
+with A^w.  R.apply, R.apply_power and the adjoint R^{m-1} all take it; R.apply
+is k = 1 and reads A alone.  A polynomial sum_k c_k R^k x goes through the
 kernel of its kind (:meth:`FiniteOrderIsometry._polynomial_kernel`, prepared
-once by each PolynomialOperator), which states the cost of each.  A kernel
-does arithmetic only; the evaluation that calls it refuses an overflowed
-result, once, through :func:`_finite`.
+once by each PolynomialOperator), which states the cost of each; the dense one
+takes baby steps and giant steps on the ladder.  A kernel does arithmetic only;
+the evaluation that calls it refuses an overflowed result, once, through
+:func:`_finite`.
 
 Each kind also states its spectrum, a multiplicity per m-th root of unity, and
 an orthonormal basis of Fix R: in closed form for a rotator and a shift, and
@@ -42,6 +44,13 @@ NONEXPANSIVE_TOL = 1e-8
 #: 2-vCPU Xeon with one OpenBLAS thread: the FFT wins from m ~ 140 at n = 32768
 #: and from m ~ 190 at n = 131072.
 SHIFT_CIRCULANT_MAX_ORDER = 128
+#: most baby steps w of the dense polynomial kernel: its Krylov block holds w + 1
+#: operand-sized blocks and the isometry keeps at most log2(w) squares, whatever m is
+DENSE_MAX_BABY_STEPS = 8
+#: entries of the row panel of a rung that the dense kernel takes per product on a
+#: vector: 2**17 float64, 1 MiB, which stays in cache while it multiplies every
+#: vector built so far
+_PANEL_ENTRIES = 2**17
 #: largest distance of an eigenvalue of A + A^T from its cluster centre
 #: 2cos(2*pi*j/m) in a dense spectrum.  It must stay below half the smallest gap
 #: between centres, 2 sin^2(pi/m) ~ (2*pi/m)^2 / 2, which holds up to m = 44428.
@@ -163,6 +172,20 @@ def _check_nonexpansive(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _baby_steps(m: int) -> int:
+    """w, the baby steps of the dense polynomial kernel of order m: the power of two
+    2 <= w <= DENSE_MAX_BABY_STEPS whose kernel takes the fewest products on an
+    (n, B) block, w - 2 + ceil(m/w) of n^2 B flops each, and the larger w on a tie,
+    which reads a matrix fewer times per vector: log2(w) + ceil(m/w) - 1.  w = 2,
+    Horner in A^2, costs ceil(m/2) on both counts and wins for m <= 6."""
+    best, w = 2, 4
+    while w <= DENSE_MAX_BABY_STEPS:
+        if w + -(-m // w) <= best + -(-m // best):  # a tie goes to the larger w
+            best = w
+        w *= 2
+    return best
+
+
 class FiniteOrderIsometry:
     """A linear isometry R with a certified order m, i.e. R^m = Id.
 
@@ -173,7 +196,7 @@ class FiniteOrderIsometry:
     instead of the bare constructor.
     """
 
-    __slots__ = ("kind", "order", "dim", "_matrix", "_square", "_spectrum")
+    __slots__ = ("kind", "order", "dim", "_matrix", "_squares", "_spectrum")
 
     def __init__(self, kind, order, dim, *, matrix=None):
         # a rotator and a shift are fixed by (order, dim); nothing is certified here
@@ -193,8 +216,15 @@ class FiniteOrderIsometry:
         if kind == DENSE and shape != (self.dim, self.dim):
             raise ParameterError(f"dim {dim} needs a ({dim}, {dim}) matrix, got shape {shape}")
         self._matrix = matrix
-        # dense only: A @ A for R^k and the polynomial kernel, one more n x n array
-        self._square = matrix @ matrix if matrix is not None else None
+        # dense only: the squares of the ladder A, A^2, A^4, ..., A^w that R^k and the
+        # polynomial kernel climb, w = _baby_steps(order), with A^w only when m > w
+        # (every m but 2) since k < m; make_dense's certificate reuses them
+        self._squares = ()
+        if matrix is not None:
+            w = _baby_steps(self.order)
+            for _ in range(w.bit_length() - 2 + (self.order > w)):
+                last = self._squares[-1] if self._squares else matrix
+                self._squares += (last @ last,)
         self._spectrum = None  # dense only: (multiplicities, Fix basis), made on first use
 
     def __repr__(self) -> str:
@@ -242,9 +272,10 @@ class FiniteOrderIsometry:
         """R^k v for 0 <= k < m and an operand checked by :func:`_as_operand`.
 
         Rotator: one rotation by the angle 2*pi*k/m, O(nB).  Shift: a roll of k
-        blocks, O(nB) and exact (a copy at k = 0).  Dense: A^(k mod 2), then
-        k // 2 products with the stored square, O(k n^2 B / 2); k = 1 never reads
-        the square.  NumericError when a rotation or a product is not finite: an
+        blocks, O(nB) and exact (a copy at k = 0).  Dense: one product with A^(2^i)
+        for each set bit i of k mod w, then k // w products with A^w, on the ladder
+        A, A^2, ..., A^w of the kernel, O((popcount(k mod w) + k // w) n^2 B); k = 1
+        reads A alone.  NumericError when a rotation or a product is not finite: an
         isometry can move up to sqrt(n) max|v| into one entry.  A roll cannot.
         """
         if self.kind == CIRCULAR_SHIFT:
@@ -254,9 +285,16 @@ class FiniteOrderIsometry:
             angle = 2.0 * math.pi * k / self.order
             out = self._rotate(v, complex(math.cos(angle), math.sin(angle)))
         else:
-            out = self._matrix @ v if k % 2 else v.copy()
-            for _ in range(k // 2):
-                out = self._square @ out
+            # the squares end at A^w, or before it at m = 2, where k < 2 needs A alone
+            *baby, giant = (self._matrix,) + self._squares
+            out = v
+            for i, rung in enumerate(baby):
+                if k >> i & 1:
+                    out = rung @ out
+            for _ in range(k >> len(baby)):
+                out = giant @ out
+            if out is v:
+                out = v.copy()
         message = "R^{} of the order-{} {} isometry overflowed on a finite operand"
         return _finite(out, message, k, self.order, self.kind)
 
@@ -269,11 +307,18 @@ class FiniteOrderIsometry:
         w = e^{2*pi*i/m}, by Horner, then a I + b J with a + ib = z on each 2x2
         block.  Shift: the circulant C[i, j] = c[(i - j) mod m] along the block
         axis, a matrix product in O(m nB) up to SHIFT_CIRCULANT_MAX_ORDER and
-        rfft/irfft in O(nB log m) above.  Dense, O(m n^2 B / 2): with u = A x,
-        sum_j (A^2)^j (c_{2j} x + c_{2j+1} u) by Horner in the stored square A^2
-        (which make_dense's certificate reuses): ceil(m/2) products in place of
-        Horner's m-1, GEMMs for a block, at the price of one more operand-sized
-        temporary (u).
+        rfft/irfft in O(nB log m) above.  Dense: baby steps and giant steps
+        (Paterson & Stockmeyer, SIAM J. Comput. 2(1), 1973) on the ladder A, A^2,
+        ..., A^w that the isometry keeps, w = _baby_steps(m).  The baby steps build
+        K = [x, Ax, ..., A^(w-1) x] by doubling, A^(2^i) multiplying the 2^i vectors
+        built so far: a vector's in one product per row panel of the rung, which is
+        read into cache once for all of them; a block's in one GEMM each, as GEMMs
+        block for the cache themselves.  Then Horner in A^w runs over the ceil(m/w)
+        groups of w coefficients, acc <- sum_r c_{g+r} K_r + A^w acc, one product
+        and one contraction of K per step.  That reads a rung log2(w) + ceil(m/w) - 1
+        times per vector and takes w - 2 + ceil(m/w) products on an (n, B) block,
+        never more than the ceil(m/2) of Horner in A^2, which is the kernel at w = 2.
+        K holds w + 1 operand-sized blocks.
 
         A kernel does arithmetic only and returns an overflowed result as it is;
         its caller refuses it, once, as :meth:`PolynomialOperator.apply` does by name.
@@ -298,18 +343,37 @@ class FiniteOrderIsometry:
                 return out.reshape(v.shape)
 
             return kernel, f"FFT kernel of the order-{m} shift"
-        top = 2 * ((m - 1) // 2)  # the last even index; c[top + 1] may not exist
+        w, n, rungs = _baby_steps(m), self.dim, (self._matrix,) + self._squares
+        baby, giant = rungs[: w.bit_length() - 1], rungs[-1]
+        top = (m - 1) // w * w  # the first coefficient of the last group
+        slots = w + (top > 0)  # K, and one more slot for A^w acc when Horner steps
+        # the giant steps' contractions, last group first: (c_g, ..., c_{g+w-1}, 1)
+        steps = np.ones((top // w, slots))
+        steps[:, :w] = c[:top].reshape(-1, w)[::-1]
+        rows = max(1, _PANEL_ENTRIES // n)
+        # each baby rung as (row span, transposed row panel) pairs, for a vector's steps
+        panels = [
+            [(slice(r, r + rows), rung[r : r + rows].T) for r in range(0, n, rows)]
+            for rung in baby
+        ]
 
         def kernel(v):
-            u = self._matrix @ v
-            acc = c[top] * v
-            if top + 1 < m:
-                acc += c[top + 1] * u
-            for j in range(top - 2, -1, -2):
-                acc = self._square @ acc
-                acc += c[j] * v
-                acc += c[j + 1] * u
-            return acc
+            b = v.shape[1] if v.ndim == 2 else 1
+            K = np.empty((slots, n, b))  # K[r] = A^r v for r < w, K[w] = A^w acc
+            K[0] = v.reshape(n, b)
+            flat = K.reshape(slots, n * b)
+            for i, rung in enumerate(baby):
+                half = 1 << i
+                if b == 1:  # the 2^i vectors as rows: one GEMM per row panel of the rung
+                    for span, panel in panels[i]:
+                        np.matmul(flat[:half], panel, out=flat[half : 2 * half, span])
+                else:  # one GEMM per block, which blocks for the cache itself
+                    np.matmul(rung, K[:half], out=K[half : 2 * half])
+            acc = c[top:] @ flat[: m - top]
+            for step in steps:  # Horner in A^w: acc <- c_g K + A^w acc
+                np.matmul(giant, acc.reshape(n, b), out=K[w])
+                np.matmul(step, flat, out=acc)
+            return acc.reshape(v.shape)
 
         return kernel, f"kernel of the order-{m} dense isometry"
 
@@ -421,10 +485,10 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
     """Wrap an explicit matrix after certifying it is an isometry of order m.
 
     Accepts iff max|A^T A - I| <= tol and max|A^m - I| <= tol; the raised
-    ValidationError names whichever bound failed.  A^m is taken through the
-    square S = A @ A that the isometry keeps for R^k and its polynomial kernel,
-    as S^(m//2), times A for odd m, in as many products as A^m by repeated
-    squaring.
+    ValidationError names whichever bound failed.  A^m is taken by repeated
+    squaring from the squares A^2, A^4, ..., A^w that the isometry keeps for R^k
+    and its polynomial kernel, squaring on past them: floor(log2 m) squares and
+    popcount(m) - 1 products, times A last for odd m.
     """
     A = _check_array(matrix, "matrix", ("n", "n"))
     m = _check_int(m, "order", 2)
@@ -437,7 +501,11 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
             f"not an isometry: max|A^T A - I| = {isometry_dev:.3e} exceeds tol = {tol:.1e}"
         )
     R = FiniteOrderIsometry(DENSE, m, n, matrix=A.copy())
-    power = np.linalg.matrix_power(R._square, m // 2)
+    square, power = A, None
+    for i in range(1, m.bit_length()):
+        square = R._squares[i - 1] if i <= len(R._squares) else square @ square
+        if m >> i & 1:
+            power = square if power is None else power @ square
     if m % 2:
         power = power @ A
     order_dev = float(np.max(np.abs(power - eye)))
