@@ -42,8 +42,9 @@ class PolynomialOperator:
     cost depends on the kind of R: O(n + m) for a rotator, O(m n) up to
     SHIFT_CIRCULANT_MAX_ORDER and O(n log m) above it for a circular shift, and
     for a dense matrix log2(w) + ceil(m/w) - 1 reads of an n x n rung per vector
-    (baby steps and giant steps, w = 2, 4 or 8 by m) and w - 2 + ceil(m/w) GEMMs
-    on an (n, B) block, never more than ceil(m/2); n becomes nB for a block.
+    (baby steps and giant steps, w = 4 for m > 6 and 2 below) and w - 2 +
+    ceil(m/w) GEMMs on an (n, B) block, never more than ceil(m/2); n becomes nB
+    for a block.
     Two operators over the same R add coefficientwise and compose by cyclic
     convolution of their coefficients, and any two of them commute.
     """

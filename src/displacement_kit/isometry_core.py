@@ -44,9 +44,6 @@ NONEXPANSIVE_TOL = 1e-8
 #: 2-vCPU Xeon with one OpenBLAS thread: the FFT wins from m ~ 140 at n = 32768
 #: and from m ~ 190 at n = 131072.
 SHIFT_CIRCULANT_MAX_ORDER = 128
-#: most baby steps w of the dense polynomial kernel: its Krylov block holds w + 1
-#: operand-sized blocks and the isometry keeps at most log2(w) squares, whatever m is
-DENSE_MAX_BABY_STEPS = 8
 #: entries of the row panel of a rung that the dense kernel takes per product on a
 #: vector: 2**17 float64, 1 MiB, which stays in cache while it multiplies every
 #: vector built so far
@@ -172,20 +169,6 @@ def _check_nonexpansive(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _baby_steps(m: int) -> int:
-    """w, the baby steps of the dense polynomial kernel of order m: the power of two
-    2 <= w <= DENSE_MAX_BABY_STEPS whose kernel takes the fewest products on an
-    (n, B) block, w - 2 + ceil(m/w) of n^2 B flops each, and the larger w on a tie,
-    which reads a matrix fewer times per vector: log2(w) + ceil(m/w) - 1.  w = 2,
-    Horner in A^2, costs ceil(m/2) on both counts and wins for m <= 6."""
-    best, w = 2, 4
-    while w <= DENSE_MAX_BABY_STEPS:
-        if w + -(-m // w) <= best + -(-m // best):  # a tie goes to the larger w
-            best = w
-        w *= 2
-    return best
-
-
 class FiniteOrderIsometry:
     """A linear isometry R with a certified order m, i.e. R^m = Id.
 
@@ -216,15 +199,12 @@ class FiniteOrderIsometry:
         if kind == DENSE and shape != (self.dim, self.dim):
             raise ParameterError(f"dim {dim} needs a ({dim}, {dim}) matrix, got shape {shape}")
         self._matrix = matrix
-        # dense only: the squares of the ladder A, A^2, A^4, ..., A^w that R^k and the
-        # polynomial kernel climb, w = _baby_steps(order), with A^w only when m > w
-        # (every m but 2) since k < m; make_dense's certificate reuses them
+        # dense only: the squares A^2, ..., A^w of the ladder that R^k and the polynomial
+        # kernel climb, w = 4 for m > 6 and 2 below; make_dense's certificate reuses them
         self._squares = ()
         if matrix is not None:
-            w = _baby_steps(self.order)
-            for _ in range(w.bit_length() - 2 + (self.order > w)):
-                last = self._squares[-1] if self._squares else matrix
-                self._squares += (last @ last,)
+            square = matrix @ matrix
+            self._squares = (square, square @ square) if self.order > 6 else (square,)
         self._spectrum = None  # dense only: (multiplicities, Fix basis), made on first use
 
     def __repr__(self) -> str:
@@ -285,7 +265,6 @@ class FiniteOrderIsometry:
             angle = 2.0 * math.pi * k / self.order
             out = self._rotate(v, complex(math.cos(angle), math.sin(angle)))
         else:
-            # the squares end at A^w, or before it at m = 2, where k < 2 needs A alone
             *baby, giant = (self._matrix,) + self._squares
             out = v
             for i, rung in enumerate(baby):
@@ -309,16 +288,17 @@ class FiniteOrderIsometry:
         axis, a matrix product in O(m nB) up to SHIFT_CIRCULANT_MAX_ORDER and
         rfft/irfft in O(nB log m) above.  Dense: baby steps and giant steps
         (Paterson & Stockmeyer, SIAM J. Comput. 2(1), 1973) on the ladder A, A^2,
-        ..., A^w that the isometry keeps, w = _baby_steps(m).  The baby steps build
-        K = [x, Ax, ..., A^(w-1) x] by doubling, A^(2^i) multiplying the 2^i vectors
-        built so far: a vector's in one product per row panel of the rung, which is
-        read into cache once for all of them; a block's in one GEMM each, as GEMMs
-        block for the cache themselves.  Then Horner in A^w runs over the ceil(m/w)
-        groups of w coefficients, acc <- sum_r c_{g+r} K_r + A^w acc, one product
-        and one contraction of K per step.  That reads a rung log2(w) + ceil(m/w) - 1
-        times per vector and takes w - 2 + ceil(m/w) products on an (n, B) block,
-        never more than the ceil(m/2) of Horner in A^2, which is the kernel at w = 2.
-        K holds w + 1 operand-sized blocks.
+        ..., A^w that the isometry keeps, w = 4 for m > 6 and 2 below.  The baby
+        steps build K = [x, Ax, ..., A^(w-1) x] by doubling, A^(2^i) multiplying the
+        2^i vectors built so far: a vector's in one product per row panel of the
+        rung, which is read into cache once for all of them; a block's in one GEMM
+        each, as GEMMs block for the cache themselves.  Then Horner in A^w runs over
+        the ceil(m/w) groups of w coefficients, acc <- sum_r c_{g+r} K_r + A^w acc,
+        one product and one contraction of K per step.  That reads a rung
+        log2(w) + ceil(m/w) - 1 times per vector (3 at m = 8, where Horner in A^2
+        read 4) and takes w - 2 + ceil(m/w) products on an (n, B) block, never more
+        than the ceil(m/2) of Horner in A^2, which is the kernel at w = 2.  K holds
+        w + 1 operand-sized blocks.
 
         A kernel does arithmetic only and returns an overflowed result as it is;
         its caller refuses it, once, as :meth:`PolynomialOperator.apply` does by name.
@@ -343,36 +323,31 @@ class FiniteOrderIsometry:
                 return out.reshape(v.shape)
 
             return kernel, f"FFT kernel of the order-{m} shift"
-        w, n, rungs = _baby_steps(m), self.dim, (self._matrix,) + self._squares
-        baby, giant = rungs[: w.bit_length() - 1], rungs[-1]
+        *baby, giant = (self._matrix,) + self._squares
+        w, n = 1 << len(baby), self.dim
         top = (m - 1) // w * w  # the first coefficient of the last group
         slots = w + (top > 0)  # K, and one more slot for A^w acc when Horner steps
-        # the giant steps' contractions, last group first: (c_g, ..., c_{g+w-1}, 1)
-        steps = np.ones((top // w, slots))
-        steps[:, :w] = c[:top].reshape(-1, w)[::-1]
-        rows = max(1, _PANEL_ENTRIES // n)
-        # each baby rung as (row span, transposed row panel) pairs, for a vector's steps
-        panels = [
-            [(slice(r, r + rows), rung[r : r + rows].T) for r in range(0, n, rows)]
-            for rung in baby
-        ]
+        groups = c[:top].reshape(-1, w)[::-1]  # the giant steps' coefficients, last first
 
         def kernel(v):
             b = v.shape[1] if v.ndim == 2 else 1
             K = np.empty((slots, n, b))  # K[r] = A^r v for r < w, K[w] = A^w acc
             K[0] = v.reshape(n, b)
             flat = K.reshape(slots, n * b)
+            rows = max(1, _PANEL_ENTRIES // n)
             for i, rung in enumerate(baby):
                 half = 1 << i
                 if b == 1:  # the 2^i vectors as rows: one GEMM per row panel of the rung
-                    for span, panel in panels[i]:
-                        np.matmul(flat[:half], panel, out=flat[half : 2 * half, span])
+                    for r in range(0, n, rows):
+                        panel = rung[r : r + rows].T
+                        np.matmul(flat[:half], panel, out=flat[half : 2 * half, r : r + rows])
                 else:  # one GEMM per block, which blocks for the cache itself
                     np.matmul(rung, K[:half], out=K[half : 2 * half])
             acc = c[top:] @ flat[: m - top]
-            for step in steps:  # Horner in A^w: acc <- c_g K + A^w acc
+            for group in groups:  # Horner in A^w: acc <- c_g K + A^w acc
                 np.matmul(giant, acc.reshape(n, b), out=K[w])
-                np.matmul(step, flat, out=acc)
+                np.matmul(group, flat[:w], out=acc)
+                acc += flat[w]
             return acc.reshape(v.shape)
 
         return kernel, f"kernel of the order-{m} dense isometry"

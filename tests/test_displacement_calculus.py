@@ -297,7 +297,7 @@ class _CountedMatrix(np.ndarray):
 
 
 #: the baby steps w of the dense kernel at each order of DENSE_KERNEL_INSTANCES
-BABY_STEPS = {2: 2, 3: 2, 4: 2, 5: 2, 7: 4, 8: 4, 64: 8}
+BABY_STEPS = {2: 2, 3: 2, 4: 2, 5: 2, 7: 4, 8: 4, 64: 4}
 
 
 def _counted_ladder(R):
@@ -317,7 +317,7 @@ def test_dense_kernel_takes_ceil_half_m_products(R):
     R, rungs = _counted_ladder(R)
     m, n, w = R.order, R.dim, BABY_STEPS[R.order]
     groups = -(-m // w)
-    assert len(rungs) == w.bit_length() - 1 + (groups > 1)
+    assert len(rungs) == w.bit_length()
     for X in (np.ones(n), np.ones((n, 7))):
         b = 1 if X.ndim == 1 else 7
         # baby steps: A^(2^i) multiplies the 2^i columns built so far in one product,
@@ -326,8 +326,7 @@ def test_dense_kernel_takes_ceil_half_m_products(R):
             [("right", (1 << i, n))] if X.ndim == 1 else [("left", (1 << i, n, b))]
             for i in range(w.bit_length() - 1)
         ]
-        if groups > 1:
-            want.append([("left", (n, b))] * (groups - 1))
+        want.append([("left", (n, b))] * (groups - 1))
         for coeffs in _kernel_coefficients(m).values():
             for rung in rungs:
                 rung.products.clear()
@@ -351,8 +350,7 @@ def test_dense_power_takes_a_product_per_set_bit_and_per_giant_step(R):
         np.testing.assert_allclose(out, np.linalg.matrix_power(M, k) @ x, atol=1e-12)
         # A^(2^i) once for each set bit i of k mod w, and A^w k // w times
         want = [int(k % w >> i & 1) for i in range(w.bit_length() - 1)]
-        if len(rungs) > len(want):
-            want.append(k // w)
+        want.append(k // w)
         assert [len(rung.products) for rung in rungs] == want, k
     for rung in rungs:
         rung.products.clear()
@@ -368,9 +366,8 @@ def test_bare_constructor_squares_a_dense_matrix():
     for R in DENSE_KERNEL_INSTANCES:
         m, w = R.order, BABY_STEPS[R.order]
         bare = FiniteOrderIsometry("dense", m, R.dim, matrix=R._matrix)
-        # the squares A^2, ..., A^w of the ladder, A^w only when the kernel takes a
-        # giant step (m > w: every order but 2); make_dense keeps the same products
-        assert len(bare._squares) == len(R._squares) == w.bit_length() - 2 + (m > w)
+        # the squares A^2, ..., A^w of the ladder; make_dense keeps the same products
+        assert len(bare._squares) == len(R._squares) == w.bit_length() - 1
         square = R._matrix
         for got, kept in zip(bare._squares, R._squares):
             square = square @ square
@@ -398,8 +395,12 @@ def test_oracle_and_apply_do_not_read_the_square():
             np.testing.assert_array_equal(corrupted.apply(x), expected @ x)
             assert compare(corrupted, expected, tol=0.0).passed
             assert corrupted.same_as(R) and R.same_as(corrupted)
-            # the polynomial kernel does read it: the corruption shows there, as a
-            # result that is not finite, which a kernel with sum |c_k| = m > 1 refuses
+            # the polynomial kernel reads each square but A^w at m = 2, which takes no
+            # giant step: the corruption shows there, as a result that is not finite,
+            # which a kernel with sum |c_k| = m > 1 refuses
+            if R.order == 2:
+                PolynomialOperator(corrupted, np.ones(2)).apply(x)
+                continue
             with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="dense isometry"):
                 PolynomialOperator(corrupted, np.ones(R.order)).apply(x)
 
@@ -423,14 +424,11 @@ def test_make_dense_takes_no_more_products_than_repeated_squaring(monkeypatch):
         R = make_dense([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]], m)
         assert len(products) == 1 + (m.bit_length() - 1) + (bin(m).count("1") - 1), m
         assert all(shape == (2, 2) for _, shape in products)
-        # the rule's rungs and no more: A^(2^i) for the w baby steps, A^w for a giant step
-        w = isometry_core._baby_steps(m)
-        assert w in (2, 4, 8) and w <= isometry_core.DENSE_MAX_BABY_STEPS
-        assert len(R._squares) == w.bit_length() - 2 + (m > w)
-        # the fewest products on a block, never more than Horner in A^2's ceil(m/2)
-        cost = {v: v - 2 + -(-m // v) for v in (2, 4, 8)}
-        assert cost[w] == min(cost.values()) <= -(-m // 2)
-        assert (w == 2) == (m <= 6)
+        # the rule's rungs and no more: the squares up to A^w, w = 4 for m > 6 and 2 below,
+        # whose kernel takes no more products on a block than Horner in A^2's ceil(m/2)
+        w = 4 if m > 6 else 2
+        assert len(R._squares) == w.bit_length() - 1
+        assert w - 2 + -(-m // w) <= -(-m // 2)
 
 
 #: orders of the accuracy sweep, which runs at n = 8 and at n = 400, where a vector's
