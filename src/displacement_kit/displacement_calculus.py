@@ -240,20 +240,26 @@ def set_valued_inverse(R: FiniteOrderIsometry, y, tol: float = RANGE_MEMBERSHIP_
     Returns the full solution set as an :class:`AffineSubspace` (particular
     point = the minimum-norm solution, directions = Fix R), or ``None`` when
     y is not in the range, detected by its fixed-space component exceeding
-    ``tol * ||y||``.  Both the test and the point are computed on y scaled by a
-    power of two to max|y| in [1/2, 1), exactly, so that no square in the norms
-    overflows or underflows and neither depends on the scale of y; scaling the
-    point back rounds entries below 2^-1022 to multiples of 2^-1074, and those of
-    at most 2^-1075 to 0.0 or -0.0, and raises NumericError when one exceeds the
-    largest float.  y = 0 is in the range.
+    ``tol * ||y||``.  That component's norm is ||B y|| on the orthonormal rows B
+    of ``R.fixed_space_basis()``, the basis the result carries: a dense R computes
+    its spectrum before the verdict, and a spectrum that refuses raises its
+    NumericError whether y is in the range or not.  The point is
+    ``pseudo_inverse(R)`` applied to y, the one kernel a solve prepares.  Both the
+    test and the point are computed on y scaled by a power of two to max|y| in
+    [1/2, 1), exactly, so that no square in the norms overflows or underflows and
+    neither depends on the scale of y; scaling the point back rounds entries below
+    2^-1022 to multiples of 2^-1074, and those of at most 2^-1075 to 0.0 or -0.0,
+    and raises NumericError when one exceeds the largest float.  y = 0 is in the
+    range.
     """
     tol = _check_real(tol, "tol")
     v = as_vector(y, R.dim)
     e = math.frexp(float(np.abs(v).max()))[1]  # frexp(0.0) = (0.0, 0)
     unit = np.ldexp(v, -e)
-    if float(np.linalg.norm(projector_fix(R).apply(unit))) > tol * float(np.linalg.norm(unit)):
+    basis = R.fixed_space_basis()
+    if float(np.linalg.norm(basis @ unit)) > tol * float(np.linalg.norm(unit)):
         return None
     with np.errstate(over="ignore"):  # refused below, by name
         point = np.ldexp(pseudo_inverse(R).apply(unit), e)
     message = "the minimum-norm point of the solution set exceeds the largest float"
-    return AffineSubspace(point=_finite(point, message), basis=R.fixed_space_basis())
+    return AffineSubspace(point=_finite(point, message), basis=basis)

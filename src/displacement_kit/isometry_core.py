@@ -49,8 +49,9 @@ SHIFT_CIRCULANT_MAX_ORDER = 128
 #: vector built so far
 _PANEL_ENTRIES = 2**17
 #: largest distance of an eigenvalue of A + A^T from its cluster centre
-#: 2cos(2*pi*j/m) in a dense spectrum.  It must stay below half the smallest gap
-#: between centres, 2 sin^2(pi/m) ~ (2*pi/m)^2 / 2, which holds up to m = 44428.
+#: 2cos(2*pi*j/m) in a dense spectrum, unless make_dense's certificate allows more.
+#: It must stay below half the smallest gap between centres, 2 sin^2(pi/m) ~
+#: (2*pi/m)^2 / 2, which holds up to m = 44428.
 SPECTRUM_TOL = 1e-8
 
 ROTATOR = "rotator"
@@ -179,7 +180,7 @@ class FiniteOrderIsometry:
     instead of the bare constructor.
     """
 
-    __slots__ = ("kind", "order", "dim", "_matrix", "_squares", "_spectrum")
+    __slots__ = ("kind", "order", "dim", "_matrix", "_squares", "_spectrum", "_spectrum_tol")
 
     def __init__(self, kind, order, dim, *, matrix=None):
         # a rotator and a shift are fixed by (order, dim); nothing is certified here
@@ -206,6 +207,7 @@ class FiniteOrderIsometry:
             square = matrix @ matrix
             self._squares = (square, square @ square) if self.order > 6 else (square,)
         self._spectrum = None  # dense only: (multiplicities, Fix basis), made on first use
+        self._spectrum_tol = SPECTRUM_TOL  # dense only: make_dense may raise it to its bound
 
     def __repr__(self) -> str:
         return f"FiniteOrderIsometry(kind={self.kind!r}, order={self.order}, dim={self.dim})"
@@ -282,9 +284,10 @@ class FiniteOrderIsometry:
         :func:`_as_operand`, with the work on ``c`` alone done here, and the kernel's
         name for a message; ``c`` must not change while the kernel is used.
 
-        Rotator, O(nB + m) for an (n, B) operand: the scalar z = sum_k c_k w^k,
-        w = e^{2*pi*i/m}, by Horner, then a I + b J with a + ib = z on each 2x2
-        block.  Shift: the circulant C[i, j] = c[(i - j) mod m] along the block
+        Rotator, O(nB + m) for an (n, B) operand: the scalar z = sum_k c_k w^k as
+        one product of c with the table w^k = cos(2*pi*k/m) + i sin(2*pi*k/m), the
+        angle that R^k takes, then a I + b J with a + ib = z on each 2x2 block.
+        Shift: the circulant C[i, j] = c[(i - j) mod m] along the block
         axis, a matrix product in O(m nB) up to SHIFT_CIRCULANT_MAX_ORDER and
         rfft/irfft in O(nB log m) above.  Dense: baby steps and giant steps
         (Paterson & Stockmeyer, SIAM J. Comput. 2(1), 1973) on the ladder A, A^2,
@@ -305,10 +308,8 @@ class FiniteOrderIsometry:
         """
         m = self.order
         if self.kind == ROTATOR:
-            angle = 2.0 * math.pi / m
-            w, z = complex(math.cos(angle), math.sin(angle)), 0j
-            for ck in c[::-1].tolist():
-                z = z * w + ck
+            angle = 2.0 * math.pi * np.arange(m) / m  # R^k's angle, for every k at once
+            z = complex(c @ np.cos(angle), c @ np.sin(angle))
             return (lambda v: self._rotate(v, z)), f"kernel of the order-{m} rotator"
         if self.kind == CIRCULAR_SHIFT and m <= SHIFT_CIRCULANT_MAX_ORDER:
             # i - j lies in (-m, m), and a negative index wraps exactly as mod m would
@@ -391,25 +392,35 @@ class FiniteOrderIsometry:
 
         For a real orthogonal A the pair e^{+-2*pi*i*j/m} is the eigenvalue
         2cos(2*pi*j/m) of A + A^T, and the eigenvectors at 2 span Fix A.  Each
-        eigenvalue goes to its nearest centre, j = 0..m//2.  NumericError when
-        one lies more than SPECTRUM_TOL from it, when a cluster with j not in
-        {0, m/2} has odd size, or when m > 44428, where the centres near 2
-        come closer than 2 * SPECTRUM_TOL.
+        eigenvalue goes to its nearest centre, j = 0..m//2.  The cluster tolerance
+        is SPECTRUM_TOL, or the larger bound that :func:`make_dense` derives from
+        its certificate.  NumericError when an eigenvalue lies more than the
+        tolerance from its centre, when a cluster with j not in {0, m/2} has odd
+        size, when m > 44428, where the centres near 2 come closer than
+        2 * SPECTRUM_TOL, or when the certificate's bound reaches half that gap.
         """
         if self._spectrum is None:
-            m = self.order
+            m, tol = self.order, self._spectrum_tol
             centres = 2.0 * np.cos(2.0 * np.pi * np.arange(m // 2 + 1) / m)  # decreasing
-            if not centres[0] - centres[1] > 2.0 * SPECTRUM_TOL:
+            gap = centres[0] - centres[1]
+            if not gap > 2.0 * SPECTRUM_TOL:
                 raise NumericError(f"order m = {m} is too large for a dense spectrum (m <= 44428)")
+            if not gap > 2.0 * tol:
+                raise NumericError(
+                    f"make_dense's tol lets an eigenvalue of A + A^T lie {tol:.3e} from its "
+                    f"centre, half or more of the gap {gap:.3e} between centres at order m = {m}; "
+                    "certify the matrix with a smaller tol"
+                )
             eigenvalues, vectors = np.linalg.eigh(self._matrix + self._matrix.T)
             # the nearest centre's j is the number of midpoints between centres above
             j = np.searchsorted((centres[1:] + centres[:-1]) / -2.0, -eigenvalues)
             distance = np.abs(eigenvalues - centres[j])
             worst = int(np.argmax(distance))
-            if not distance[worst] <= SPECTRUM_TOL:  # NaN fails too
+            if not distance[worst] <= tol:  # NaN fails too
+                name = "SPECTRUM_TOL" if tol == SPECTRUM_TOL else "make_dense's cluster bound"
                 raise NumericError(
                     f"eigenvalue {eigenvalues[worst]:.6g} of A + A^T lies {distance[worst]:.3e} "
-                    f"from its nearest centre, more than SPECTRUM_TOL = {SPECTRUM_TOL:.1e}"
+                    f"from its nearest centre, more than {name} = {tol:.1e}"
                 )
             sizes = np.bincount(j, minlength=m // 2 + 1)
             paired = sizes[1 : (m + 1) // 2]  # the clusters of j != m - j
@@ -464,6 +475,15 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
     squaring from the squares A^2, A^4, ..., A^w that the isometry keeps for R^k
     and its polynomial kernel, squaring on past them: floor(log2 m) squares and
     popcount(m) - 1 products, times A last for odd m.
+
+    The two deviations, d1 = max|A^T A - I| and d2 = max|A^m - I|, also bound how
+    far an eigenvalue of A + A^T lies from its centre: by 4n*d1 + 2n*d2/m, to
+    first order, from the polar factor U of A within n*d1 of it, Weyl's inequality
+    (Horn & Johnson, Thm 4.3.1) and U^m within n*(d2 + m*d1) of I.  The cluster
+    tolerance of :meth:`FiniteOrderIsometry._dense_spectrum` is the larger of that
+    and SPECTRUM_TOL, so a matrix accepted here at a loose tol answers every
+    spectral question, up to the order where the bound reaches half the gap
+    between centres.
     """
     A = _check_array(matrix, "matrix", ("n", "n"))
     m = _check_int(m, "order", 2)
@@ -488,4 +508,5 @@ def make_dense(matrix, m: int, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteOrd
         raise ValidationError(
             f"order check failed: max|A^{m} - I| = {order_dev:.3e} exceeds tol = {tol:.1e}"
         )
+    R._spectrum_tol = max(SPECTRUM_TOL, 4 * n * isometry_dev + 2 * n * order_dev / m)
     return R

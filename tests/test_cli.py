@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +172,23 @@ def test_dense_file_instance(capsys, tmp_path):
     )
     assert code == 0
     assert data["kind"] == "dense" and data["dim"] == 3
+
+
+def test_solve_on_a_dense_file_certified_at_a_loose_tol(capsys):
+    # an order-6 shift conjugated and written with 8 decimals: an eigenvalue of A + A^T
+    # lies 1.7e-8 from its centre, more than SPECTRUM_TOL, and within the bound that
+    # make_dense derives from its certificate at --dense-tol 1e-7; solve used to exit 2
+    data = Path(__file__).parent / "data"
+    matrix, rhs = data / "shift6_conjugated_8dp.csv", data / "shift6_conjugated_8dp_rhs.json"
+    code, solution, err = run_json(
+        capsys, "solve", "--kind", "dense-file", "--m", "6", "--matrix-path", str(matrix),
+        "--dense-tol", "1e-7", "--tol", "1e-6", "--rhs", str(rhs),
+    )
+    assert code == 0, err
+    A, y = np.loadtxt(matrix, delimiter=","), np.array(json.loads(rhs.read_text()))
+    point, basis = np.array(solution["point"]), np.array(solution["basis"])
+    assert basis.shape == (2, 12)
+    np.testing.assert_allclose(point - A @ point, y, rtol=0, atol=1e-6)
 
 
 def test_dense_file_rejects_infinite_tolerance(capsys, tmp_path):

@@ -571,6 +571,24 @@ def test_a_rotator_of_order_two_to_the_twenty_runs_end_to_end():
     assert K.operator_norm() == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [1000, 2**20, 10**6 + 3])
+def test_rotator_kernel_takes_w_to_the_k_as_r_to_the_k_does(m):
+    # the kernel's w^k is the cos/sin of R^k's angle 2*pi*k/m, so the monomial e_k is
+    # R^k to rounding; a Horner recurrence in w drifts like m eps (2.1e5 eps at 2^20)
+    R = make_rotator(m, 2)
+    x = np.random.default_rng(m % 1009).standard_normal(R.dim)
+    for k in (1, 2, m // 3, m // 2, m - 1):
+        e_k = np.zeros(m)
+        e_k[k] = 1.0
+        np.testing.assert_allclose(
+            PolynomialOperator(R, e_k).apply(x),
+            R.apply_power(k, x),
+            rtol=0,
+            atol=8 * np.finfo(float).eps * np.max(np.abs(x)),
+            err_msg=f"k = {k}",
+        )
+
+
 def test_addition_and_scaling():
     R = make_circular_shift(3)
     a = PolynomialOperator(R, [1.0, 2.0, 3.0])
@@ -910,6 +928,48 @@ def test_set_valued_inverse_point_scales_exactly_with_y(R):
     for k in range(-900, 901, 25):
         point = set_valued_inverse(R, np.ldexp(y, k)).point
         np.testing.assert_array_equal(point, np.ldexp(unit, k), err_msg=f"k = {k}")
+
+
+@pytest.mark.parametrize(
+    "R",
+    [
+        make_rotator(5, 2),
+        make_circular_shift(4, 2),
+        conjugated_dense(make_circular_shift(4, 2), np.random.default_rng(8)),
+    ],
+    ids=IDS,
+)
+def test_set_valued_inverse_prepares_one_kernel_and_keeps_the_projector_verdict(
+    R, monkeypatch
+):
+    # the range test reads the Fix R basis that the result carries; the pseudo-inverse's
+    # kernel is the only one a solve prepares, and none when y is out of range
+    prepared = []
+    original = FiniteOrderIsometry._polynomial_kernel
+
+    def counted(self, c):
+        prepared.append(self)
+        return original(self, c)
+
+    monkeypatch.setattr(FiniteOrderIsometry, "_polynomial_kernel", counted)
+    tol = displacement_calculus.RANGE_MEMBERSHIP_TOL
+    w = np.random.default_rng(23).standard_normal(R.dim)
+    fixed, ranged = projector_fix(R).apply(w), projector_fix_complement(R).apply(w)
+    cases = {"orthogonal": (ranged, True)}
+    if R.eigen_multiplicities()[0]:
+        f, u = fixed / np.linalg.norm(fixed), ranged / np.linalg.norm(ranged)
+        cases["fixed"] = (fixed, False)
+        for factor, inside in ((0.5, True), (2.0, False)):
+            r = factor * tol  # ||P y|| / ||y|| = r at y = u + t f
+            cases[f"{factor} x boundary"] = (u + r / np.sqrt(1.0 - r * r) * f, inside)
+    for name, (y, inside) in cases.items():
+        unit = np.ldexp(y, -np.frexp(np.max(np.abs(y)))[1])
+        projector_says = np.linalg.norm(projector_fix(R).apply(unit)) <= tol * np.linalg.norm(unit)
+        assert projector_says == inside, name
+        prepared.clear()
+        solution = set_valued_inverse(R, y)
+        assert (solution is not None) == inside, name
+        assert prepared == ([R] if inside else []), name
 
 
 def test_set_valued_inverse_invertible_case():

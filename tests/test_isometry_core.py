@@ -1,5 +1,7 @@
 """Constructors, certification, and apply paths for finite-order isometries."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from displacement_kit import (
     series_resolvent_apply,
     set_valued_inverse,
 )
+from displacement_kit.isometry_core import SPECTRUM_TOL
 from displacement_kit.verification import (
     conjugated_dense,
     random_orthogonal,
@@ -425,6 +428,39 @@ def test_dense_multiplicities_reject_a_wrong_order():
     R = FiniteOrderIsometry("dense", 3, 2, matrix=rotation_matrix(2 * np.pi / 5))
     with pytest.raises(NumericError, match="from its nearest centre, more than SPECTRUM_TOL"):
         R.eigen_multiplicities()
+
+
+#: an order-6 shift of 2 blocks of 6, conjugated by a random orthogonal matrix and
+#: written with 8 decimals: max|A^T A - I| = 1.0e-8 and max|A^6 - I| = 2.2e-8
+LOOSE_SHIFT6 = np.loadtxt(
+    Path(__file__).parent / "data" / "shift6_conjugated_8dp.csv", delimiter=","
+)
+
+
+def test_dense_spectrum_takes_its_tolerance_from_make_dense():
+    # an eigenvalue of A + A^T lies 1.7e-8 from its centre: beyond SPECTRUM_TOL, which
+    # still refuses it on the bare constructor, and within the bound 4n d1 + 2n d2/m =
+    # 5.9e-7 that make_dense derives from its certificate at tol = 1e-7
+    bare = FiniteOrderIsometry("dense", 6, 12, matrix=LOOSE_SHIFT6)
+    with pytest.raises(NumericError, match="from its nearest centre, more than SPECTRUM_TOL"):
+        bare.eigen_multiplicities()
+    R = make_dense(LOOSE_SHIFT6, 6, tol=1e-7)
+    assert 5.8e-7 < R._spectrum_tol < 6.0e-7
+    np.testing.assert_array_equal(R.eigen_multiplicities(), np.full(6, 2))
+    B = R.fixed_space_basis()
+    assert B.shape == (2, 12)
+    np.testing.assert_allclose(B @ LOOSE_SHIFT6.T, B, rtol=0, atol=1e-7)  # A b = b
+    # an exact matrix keeps SPECTRUM_TOL: its bound is below it
+    assert make_dense(shift_matrix(6, 2), 6)._spectrum_tol == SPECTRUM_TOL
+
+
+def test_dense_spectrum_refuses_a_certificate_bound_of_half_the_gap():
+    # a rotation by 2*pi/1000 scaled by 1 + 1e-5 passes make_dense at tol = 0.02, but
+    # its bound 2e-4 exceeds half the gap 4 sin^2(pi/1000) = 4e-5 between centres
+    m = 1000
+    R = make_dense(rotation_matrix(2 * np.pi / m) * (1.0 + 1e-5), m, tol=0.02)
+    with pytest.raises(NumericError, match="make_dense's tol .* with a smaller tol"):
+        R.fixed_space_basis()
 
 
 def test_dense_multiplicities_reject_an_odd_cluster():
