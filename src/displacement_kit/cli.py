@@ -140,7 +140,20 @@ def _given(args, **keywords) -> dict:
     return {key: getattr(args, dest) for key, dest in keywords.items() if dest in args}
 
 
+#: the instance options that each --kind takes, by dest; another kind refuses them
+_KIND_OPTIONS = {
+    "rotator": ("blocks",),
+    "shift": ("block_dim",),
+    "dense-file": ("matrix_path", "dense_tol"),
+}
+
+
 def _instance(args):
+    for kind, dests in _KIND_OPTIONS.items():
+        for dest in dests:
+            if kind != args.kind and getattr(args, dest, None) is not None:
+                option = "--" + dest.replace("_", "-")
+                raise ParameterError(f"{option} does not apply to --kind {args.kind}, only {kind}")
     if args.kind == "rotator":
         return make_rotator(args.m, **_given(args, blocks="blocks"))
     if args.kind == "shift":

@@ -8,7 +8,6 @@ in R, so the universal representation here is a coefficient vector
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .isometry_core import (
     _finite,
     _is_finite_real,
     _real_array,
+    _unit_scale,
     as_vector,
     make_circular_shift,
 )
@@ -210,9 +210,7 @@ def projector_fix(R: FiniteOrderIsometry) -> PolynomialOperator:
 
 def projector_fix_complement(R: FiniteOrderIsometry) -> PolynomialOperator:
     """Orthogonal projector onto (Fix R)^perp, i.e. Id minus :func:`projector_fix`."""
-    c = np.full(R.order, -1.0 / R.order)
-    c[0] += 1.0
-    return PolynomialOperator(R, c)
+    return PolynomialOperator.identity(R) - projector_fix(R)
 
 
 def skew_part(R: FiniteOrderIsometry) -> PolynomialOperator:
@@ -237,29 +235,27 @@ def pseudo_inverse(R: FiniteOrderIsometry) -> PolynomialOperator:
 def set_valued_inverse(R: FiniteOrderIsometry, y, tol: float = RANGE_MEMBERSHIP_TOL):
     """Solve (Id - R) x = y in the set-valued sense.
 
-    Returns the full solution set as an :class:`AffineSubspace` (particular
-    point = the minimum-norm solution, directions = Fix R), or ``None`` when
-    y is not in the range, detected by its fixed-space component exceeding
-    ``tol * ||y||``.  That component's norm is ||B y|| on the orthonormal rows B
-    of ``R.fixed_space_basis()``, the basis the result carries: a dense R computes
-    its spectrum before the verdict, and a spectrum that refuses raises its
-    NumericError whether y is in the range or not.  The point is
-    ``pseudo_inverse(R)`` applied to y, the one kernel a solve prepares.  Both the
-    test and the point are computed on y scaled by a power of two to max|y| in
-    [1/2, 1), exactly, so that no square in the norms overflows or underflows and
-    neither depends on the scale of y; scaling the point back rounds entries below
-    2^-1022 to multiples of 2^-1074, and those of at most 2^-1075 to 0.0 or -0.0,
-    and raises NumericError when one exceeds the largest float.  y = 0 is in the
-    range.
+    Returns the full solution set as an :class:`AffineSubspace` (particular point =
+    the minimum-norm solution, directions = Fix R), or ``None`` when y is not in the
+    range, detected by the point's residual y - (x - Rx), the component of y in
+    Fix R, exceeding ``tol * ||y||``.  The point x is ``pseudo_inverse(R)`` applied
+    to y, the one kernel a solve prepares, so the verdict adds O(n) to the point on a
+    rotator and a shift and one product with A on a dense R, and a returned point
+    solves the equation within ``tol * ||y||``.  Only a result reads
+    ``R.fixed_space_basis()``: a dense R pays its eigh, or raises its spectrum's
+    NumericError, for y in the range alone.  The point and its residual are computed
+    on y scaled exactly by a power of two to max|y| in [1/2, 1), so that no norm
+    overflows or underflows and neither depends on the scale of y; scaling the point
+    back rounds entries below 2^-1022 to multiples of 2^-1074, and those of at most
+    2^-1075 to 0.0 or -0.0, and raises NumericError when one exceeds the largest
+    float.  y = 0 is in the range.
     """
     tol = _check_real(tol, "tol")
-    v = as_vector(y, R.dim)
-    e = math.frexp(float(np.abs(v).max()))[1]  # frexp(0.0) = (0.0, 0)
-    unit = np.ldexp(v, -e)
-    basis = R.fixed_space_basis()
-    if float(np.linalg.norm(basis @ unit)) > tol * float(np.linalg.norm(unit)):
+    unit, e = _unit_scale(as_vector(y, R.dim))
+    x = pseudo_inverse(R).apply(unit)
+    if float(np.linalg.norm(unit - displacement_apply(R, x))) > tol * float(np.linalg.norm(unit)):
         return None
     with np.errstate(over="ignore"):  # refused below, by name
-        point = np.ldexp(pseudo_inverse(R).apply(unit), e)
+        point = np.ldexp(x, e)
     message = "the minimum-norm point of the solution set exceeds the largest float"
-    return AffineSubspace(point=_finite(point, message), basis=basis)
+    return AffineSubspace(point=_finite(point, message), basis=R.fixed_space_basis())

@@ -40,9 +40,14 @@ DEFAULT_VALIDATION_TOL = 1e-10
 #: operator-norm slack of _check_nonexpansive, the one test of a nonexpansive input
 NONEXPANSIVE_TOL = 1e-8
 #: largest shift order whose polynomial is applied as a dense m x m circulant
-#: product; above it the FFT along the block axis is faster.  Measured on a
-#: 2-vCPU Xeon with one OpenBLAS thread: the FFT wins from m ~ 140 at n = 32768
-#: and from m ~ 190 at n = 131072.
+#: product; above it the FFT along the block axis.  The crossover moves with the
+#: block length n/m, yet m alone picks the faster kernel for every shift that
+#: dkbench's bulk_apply runs.  Per vector on a 2-vCPU Xeon, one OpenBLAS thread:
+#: circulant 1.1 ms against FFT 14.8 ms at m = 3, n ~ 1e6; 1.0 against 7.1 ms at
+#: m = 8, n = 1e6; 0.29 against 0.95 ms at m = 64, n = 131072; and at m = 1024,
+#: n = 32768, FFT 0.22 ms against 1.5 ms plus 8.3 ms to index the circulant.
+#: PolynomialOperator.compose runs the kernel on one length-m column of
+#: coefficients, which none of these figures measures.
 SHIFT_CIRCULANT_MAX_ORDER = 128
 #: entries of the row panel of a rung that the dense kernel takes per product on a
 #: vector: 2**17 float64, 1 MiB, which stays in cache while it multiplies every
@@ -157,6 +162,13 @@ def _finite(value, message: str, *args):
     if np.count_nonzero(finite) != finite.size:  # half the cost of .all() on a short vector
         raise NumericError(message.format(*args))
     return value
+
+
+def _unit_scale(v: np.ndarray) -> tuple:
+    """(unit, e): v scaled by 2^-e to max|unit| in [1/2, 1), so that its sum of
+    squares neither overflows nor underflows to 0; e = 0 when max|v| is 0, inf or NaN."""
+    e = math.frexp(float(np.abs(v).max()))[1]
+    return np.ldexp(v, -e), e
 
 
 def _check_nonexpansive(M: np.ndarray) -> np.ndarray:

@@ -10,7 +10,14 @@ import numpy as np
 
 from .displacement_calculus import PolynomialOperator
 from .errors import ParameterError
-from .isometry_core import FiniteOrderIsometry, _check_int, _check_real, _finite, as_vector
+from .isometry_core import (
+    FiniteOrderIsometry,
+    _check_int,
+    _check_real,
+    _finite,
+    _unit_scale,
+    as_vector,
+)
 from .resolvent_yosida import resolvent
 
 
@@ -94,8 +101,7 @@ def _step_norm(d: np.ndarray, k: int) -> float:
     squares = d.dot(d)
     if _UNSCALED_SQUARES <= squares < math.inf:  # NaN fails too
         return math.sqrt(squares)
-    exponent = math.frexp(float(np.abs(d).max()))[1]  # 0 for 0, inf and NaN
-    unit = np.ldexp(d, -exponent)
+    unit, exponent = _unit_scale(d)
     norm = float(np.ldexp(math.sqrt(unit.dot(unit)), exponent))  # inf when it overflows
     message = "the norm of proximal-point step {} is not a finite float after an overflow"
     return _finite(norm, message, k)

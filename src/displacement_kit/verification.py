@@ -37,7 +37,7 @@ from .isometry_core import (
     make_dense,
     make_rotator,
 )
-from .iteration_lab import ergodic_mean, lipschitz_estimate, proximal_point
+from .iteration_lab import ergodic_mean, proximal_point
 from .resolvent_yosida import (
     resolvent,
     resolvent_coefficients,
@@ -393,14 +393,14 @@ def run_verification(seed: int = 0, max_m: int = 8, max_dim: int = 64) -> list:
         for gamma in LIPSCHITZ_GAMMAS:
             bound = 2.0 / (2.0 + gamma)
             inverse = resolvent_inverse(R, gamma)
-            lip = lipschitz_estimate(inverse)
+            lip = inverse.operator_norm()
             contraction.append(max(0.0, lip - bound))
             checked = [inverse]
             if R.kind == "rotator" and R.order == 2:
                 sharpness.append(abs(lip - bound))
             if R.kind == "circular_shift":
                 checked.append(resolvent(R, gamma))
-                lip_fwd = lipschitz_estimate(checked[-1])
+                lip_fwd = checked[-1].operator_norm()
                 no_contraction.append(max(0.0, 1.0 - lip_fwd))
             for op in checked:
                 svd_norm = float(np.linalg.norm(materialize(op), 2))

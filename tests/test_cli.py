@@ -208,6 +208,26 @@ def test_dense_file_requires_matrix_path(capsys):
     assert "--matrix-path" in err
 
 
+@pytest.mark.parametrize(
+    "kind, option, value",
+    [
+        ("shift", "--blocks", "5"),
+        ("rotator", "--block-dim", "2"),
+        ("rotator", "--matrix-path", "m.json"),
+        ("shift", "--matrix-path", "m.json"),
+        ("rotator", "--dense-tol", "1e-7"),
+        ("shift", "--dense-tol", "1e-7"),
+        ("dense-file", "--blocks", "5"),
+        ("dense-file", "--block-dim", "2"),
+    ],
+)
+def test_an_instance_option_of_another_kind_exits_2(capsys, kind, option, value):
+    # it used to be dropped: show --kind shift --m 3 --blocks 5 printed the 3-shift
+    code, out, err = run(capsys, "show", "--kind", kind, "--m", "3", option, value)
+    assert code == 2 and out == ""
+    assert f"{option} does not apply to --kind {kind}" in err
+
+
 def test_dense_file_rejects_non_isometry(capsys, tmp_path):
     mat = tmp_path / "bad.json"
     save_matrix(mat, [[2.0, 0.0], [0.0, 1.0]])

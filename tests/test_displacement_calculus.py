@@ -1,6 +1,9 @@
 """Projectors, skew companion, pseudoinverse, and the set-valued inverse."""
 
+import json
 import pickle
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -700,6 +703,16 @@ def test_projector_decomposition(R):
         np.testing.assert_allclose(P.apply(displacement_apply(R, x)), 0.0, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("m", [2, 3, 8, 129, 1000])
+def test_projector_complement_is_identity_minus_projector_bit_for_bit(m):
+    # Id - P rounds 1 - 1/m once, as the coefficients written out one by one did
+    written_out = np.full(m, -1.0 / m)
+    written_out[0] += 1.0
+    coefficients = projector_fix_complement(make_circular_shift(m)).coefficients
+    np.testing.assert_array_equal(coefficients, written_out)
+    assert not np.signbit(coefficients[0]) and np.all(np.signbit(coefficients[1:]))
+
+
 # --- skew companion -----------------------------------------------------------
 
 
@@ -942,8 +955,8 @@ def test_set_valued_inverse_point_scales_exactly_with_y(R):
 def test_set_valued_inverse_prepares_one_kernel_and_keeps_the_projector_verdict(
     R, monkeypatch
 ):
-    # the range test reads the Fix R basis that the result carries; the pseudo-inverse's
-    # kernel is the only one a solve prepares, and none when y is out of range
+    # the range test is the residual of the pseudo-inverse's point, whose kernel is the
+    # only one a solve prepares, whatever the verdict
     prepared = []
     original = FiniteOrderIsometry._polynomial_kernel
 
@@ -969,7 +982,65 @@ def test_set_valued_inverse_prepares_one_kernel_and_keeps_the_projector_verdict(
         prepared.clear()
         solution = set_valued_inverse(R, y)
         assert (solution is not None) == inside, name
-        assert prepared == ([R] if inside else []), name
+        assert prepared == [R], name
+
+
+def test_set_valued_inverse_out_of_range_reads_no_basis_and_a_few_vectors(monkeypatch):
+    # the verdict is the residual of the pseudo-inverse's point: O(n) on a shift, where
+    # its Fix R basis is a dense (n/m, n) array, 16 MiB here
+    R = make_circular_shift(2, 1024)
+
+    def refused(self):
+        raise AssertionError("an out-of-range solve reads no spectral fact of R")
+
+    monkeypatch.setattr(FiniteOrderIsometry, "fixed_space_basis", refused)
+    monkeypatch.setattr(FiniteOrderIsometry, "eigen_multiplicities", refused)
+    y = np.tile(np.random.default_rng(24).standard_normal(1024), 2)  # in Fix R
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solution = set_valued_inverse(R, y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert solution is None
+    assert peak <= 8 * R.dim * 8  # 8 vectors of n float64
+
+
+#: an order-6 shift of 2 blocks of 6, conjugated and written with 8 decimals, and a
+#: right-hand side in the range of its displacement
+DATA = Path(__file__).parent / "data"
+LOOSE_SHIFT6 = np.loadtxt(DATA / "shift6_conjugated_8dp.csv", delimiter=",")
+LOOSE_SHIFT6_RHS = np.array(json.loads((DATA / "shift6_conjugated_8dp_rhs.json").read_text()))
+
+
+def test_set_valued_inverse_returns_no_point_that_misses_its_tolerance():
+    # Fix R's basis reads ||B y|| = 1.5e-9 ||y|| on this rhs, yet the point's residual
+    # is 1.33e-8 ||y||: the verdict is now the residual, so at tol = 5e-9 there is no
+    # point, and at tol = 1e-6 the point and basis are those of the basis test
+    y = LOOSE_SHIFT6_RHS
+    R = make_dense(LOOSE_SHIFT6, 6, tol=1e-7)
+    B = R.fixed_space_basis()
+    assert np.linalg.norm(B @ y) < 5e-9 * np.linalg.norm(y)
+    assert set_valued_inverse(R, y, tol=5e-9) is None
+    solution = set_valued_inverse(R, y, tol=1e-6)
+    e = np.frexp(np.max(np.abs(y)))[1]
+    np.testing.assert_array_equal(
+        solution.point, np.ldexp(pseudo_inverse(R).apply(np.ldexp(y, -e)), e)
+    )
+    assert solution.basis is B
+    residual = np.linalg.norm(y - displacement_apply(R, solution.point))
+    assert 5e-9 * np.linalg.norm(y) < residual <= 1e-6 * np.linalg.norm(y)
+
+
+def test_set_valued_inverse_refuses_a_spectrum_only_for_a_result():
+    # the bare constructor keeps SPECTRUM_TOL, which refuses this matrix's spectrum:
+    # a y out of range needs no spectrum, and a y in range raises for its basis
+    R = FiniteOrderIsometry("dense", 6, 12, matrix=LOOSE_SHIFT6)
+    fixed = make_dense(LOOSE_SHIFT6, 6, tol=1e-7).fixed_space_basis()[0]
+    assert set_valued_inverse(R, fixed) is None
+    with pytest.raises(NumericError, match="more than SPECTRUM_TOL"):
+        set_valued_inverse(R, LOOSE_SHIFT6_RHS, tol=1e-6)
 
 
 def test_set_valued_inverse_invertible_case():
