@@ -5,21 +5,22 @@ resolvent, both Yosida approximations) written out entrywise as rational
 expressions in gamma, independent of the coefficient machinery.  They serve
 as ground truth for the reproduction command and the acceptance suite.
 
-Each expression is written in (a, b) with gamma = a/b: its numerator and
-denominator in gamma, times b to the denominator's degree, become polynomials
-of that one degree in a and b, so (1 + g)/(1 + 2g + 2g^2) is (b^2 + ab)/(b^2 +
-2ab + 2a^2).  They are evaluated at (gamma, 1) up to gamma = 1, where they are
-the expressions in gamma term for term, and at (1, 1/gamma) above, so that no
-power of gamma overflows: each denominator then holds a term of 1 or more.
+Each expression is evaluated exactly, in `fractions.Fraction` on the float
+gamma with sqrt(3) taken as the float `_SQRT3`, and rounded once, so every
+entry is the correctly rounded value of its expression.  A rotator's table is
+given by (x, y) as [[x, -y], [y, x]], a shift's by the first column c of the
+circulant C[i, j] = c[(i - j) mod m].  An entry beyond the float range raises
+NumericError.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .isometry_core import _check_real
 
 ROTATOR_ORDERS = (2, 3, 4)
@@ -29,100 +30,75 @@ OPERATOR_NAMES = ("resolvent", "resolvent_inverse", "yosida", "yosida_inverse")
 _SQRT3 = math.sqrt(3.0)
 
 
-def _ratio(gamma: float) -> tuple:
-    """(a, b) with a / b = gamma and max(a, b) = 1."""
-    g = _check_real(gamma, "gamma")
-    return (g, 1.0) if g <= 1.0 else (1.0, 1.0 / g)
+def _rounded(rows: list, g: Fraction) -> np.ndarray:
+    """The exact entries at gamma = g, each rounded once to a float."""
+    try:
+        return np.array([[float(entry) for entry in row] for row in rows])
+    except OverflowError:
+        raise NumericError(
+            f"a worked-example entry at gamma = {float(g)!r} exceeds the float range"
+        ) from None
 
 
 def rotator_closed_forms(m: int, gamma: float) -> dict:
     """The four operator matrices for the plane rotation by 2*pi/m, m in {2, 3, 4}."""
-    a, b = _ratio(gamma)
-    eye = np.eye(2)
+    g = Fraction(_check_real(gamma, "gamma"))
     if m == 2:
-        return {
-            "resolvent": eye * (b / (b + 2.0 * a)),
-            "resolvent_inverse": eye * (2.0 * b / (2.0 * b + a)),
-            "yosida": eye * (2.0 * b / (b + 2.0 * a)),
-            "yosida_inverse": eye * (b / (2.0 * b + a)),
+        xy = {
+            "resolvent": (1 / (1 + 2 * g), 0),
+            "resolvent_inverse": (2 / (2 + g), 0),
+            "yosida": (2 / (1 + 2 * g), 0),
+            "yosida_inverse": (1 / (2 + g), 0),
         }
-    bb, ab = b * b, a * b
-    if m == 3:
-        d_fwd = 2.0 * bb + 6.0 * ab + 6.0 * a * a
-        d_inv = 6.0 * bb + 6.0 * ab + 2.0 * a * a
-        return {
-            "resolvent": np.array(
-                [[2.0 * bb + 3.0 * ab, -_SQRT3 * ab], [_SQRT3 * ab, 2.0 * bb + 3.0 * ab]]
-            ) / d_fwd,
-            "resolvent_inverse": np.array(
-                [[6.0 * bb + 3.0 * ab, _SQRT3 * ab], [-_SQRT3 * ab, 6.0 * bb + 3.0 * ab]]
-            ) / d_inv,
-            "yosida": np.array(
-                [[3.0 * bb + 6.0 * ab, _SQRT3 * bb], [-_SQRT3 * bb, 3.0 * bb + 6.0 * ab]]
-            ) / d_fwd,
-            "yosida_inverse": np.array(
-                [[3.0 * bb + 2.0 * ab, -_SQRT3 * bb], [_SQRT3 * bb, 3.0 * bb + 2.0 * ab]]
-            ) / d_inv,
+    elif m == 3:
+        s, d_fwd, d_inv = Fraction(_SQRT3), 2 + 6 * g + 6 * g * g, 6 + 6 * g + 2 * g * g
+        xy = {
+            "resolvent": ((2 + 3 * g) / d_fwd, s * g / d_fwd),
+            "resolvent_inverse": ((6 + 3 * g) / d_inv, -s * g / d_inv),
+            "yosida": ((3 + 6 * g) / d_fwd, -s / d_fwd),
+            "yosida_inverse": ((3 + 2 * g) / d_inv, s / d_inv),
         }
-    if m == 4:
-        d_fwd = bb + 2.0 * ab + 2.0 * a * a
-        d_inv = 2.0 * bb + 2.0 * ab + a * a
-        return {
-            "resolvent": np.array([[bb + ab, -ab], [ab, bb + ab]]) / d_fwd,
-            "resolvent_inverse": np.array([[2.0 * bb + ab, ab], [-ab, 2.0 * bb + ab]]) / d_inv,
-            "yosida": np.array([[bb + 2.0 * ab, bb], [-bb, bb + 2.0 * ab]]) / d_fwd,
-            "yosida_inverse": np.array([[bb + ab, -bb], [bb, bb + ab]]) / d_inv,
+    elif m == 4:
+        d_fwd, d_inv = 1 + 2 * g + 2 * g * g, 2 + 2 * g + g * g
+        xy = {
+            "resolvent": ((1 + g) / d_fwd, g / d_fwd),
+            "resolvent_inverse": ((2 + g) / d_inv, -g / d_inv),
+            "yosida": ((1 + 2 * g) / d_fwd, -1 / d_fwd),
+            "yosida_inverse": ((1 + g) / d_inv, 1 / d_inv),
         }
-    raise ParameterError(f"rotator closed forms are tabulated for m in {ROTATOR_ORDERS}, got {m!r}")
+    else:
+        raise ParameterError(
+            f"rotator closed forms are tabulated for m in {ROTATOR_ORDERS}, got {m!r}"
+        )
+    return {name: _rounded([[x, -y], [y, x]], g) for name, (x, y) in xy.items()}
 
 
 def shift_closed_forms(m: int, gamma: float) -> dict:
     """The four operator matrices for the circular right shift on R^m, m in {2, 3}."""
-    a, b = _ratio(gamma)
-    p = b + a
+    g = Fraction(_check_real(gamma, "gamma"))
+    p = 1 + g
     if m == 2:
-        d_fwd = b + 2.0 * a
-        d_inv = 2.0 * b + a
-        return {
-            "resolvent": np.array([[p, a], [a, p]]) / d_fwd,
-            "resolvent_inverse": np.array([[b, -b], [-b, b]]) / d_inv,
-            "yosida": np.array([[b, -b], [-b, b]]) / d_fwd,
-            "yosida_inverse": np.array([[p * b, b * b], [b * b, p * b]]) / (d_inv * a),
+        d_fwd, d_inv = 1 + 2 * g, 2 + g
+        columns = {
+            "resolvent": (p / d_fwd, g / d_fwd),
+            "resolvent_inverse": (1 / d_inv, -1 / d_inv),
+            "yosida": (1 / d_fwd, -1 / d_fwd),
+            "yosida_inverse": (p / (d_inv * g), 1 / (d_inv * g)),
         }
-    if m == 3:
-        d_fwd = b * b + 3.0 * a * b + 3.0 * a * a
-        d_inv = 3.0 * b * b + 3.0 * a * b + a * a
-        return {
-            "resolvent": np.array(
-                [
-                    [p * p, a * a, p * a],
-                    [p * a, p * p, a * a],
-                    [a * a, p * a, p * p],
-                ]
-            ) / d_fwd,
-            "resolvent_inverse": np.array(
-                [
-                    [(2.0 * b + a) * b, -b * b, -p * b],
-                    [-p * b, (2.0 * b + a) * b, -b * b],
-                    [-b * b, -p * b, (2.0 * b + a) * b],
-                ]
-            ) / d_inv,
-            "yosida": np.array(
-                [
-                    [(b + 2.0 * a) * b, -a * b, -p * b],
-                    [-p * b, (b + 2.0 * a) * b, -a * b],
-                    [-a * b, -p * b, (b + 2.0 * a) * b],
-                ]
-            ) / d_fwd,
-            "yosida_inverse": np.array(
-                [
-                    [p * p * b, b * b * b, p * b * b],
-                    [p * b * b, p * p * b, b * b * b],
-                    [b * b * b, p * b * b, p * p * b],
-                ]
-            ) / (d_inv * a),
+    elif m == 3:
+        d_fwd, d_inv = 1 + 3 * g + 3 * g * g, 3 + 3 * g + g * g
+        columns = {
+            "resolvent": (p * p / d_fwd, p * g / d_fwd, g * g / d_fwd),
+            "resolvent_inverse": ((2 + g) / d_inv, -p / d_inv, -1 / d_inv),
+            "yosida": ((1 + 2 * g) / d_fwd, -p / d_fwd, -g / d_fwd),
+            "yosida_inverse": (p * p / (d_inv * g), p / (d_inv * g), 1 / (d_inv * g)),
         }
-    raise ParameterError(f"shift closed forms are tabulated for m in {SHIFT_ORDERS}, got {m!r}")
+    else:
+        raise ParameterError(f"shift closed forms are tabulated for m in {SHIFT_ORDERS}, got {m!r}")
+    return {
+        name: _rounded([[c[(i - j) % m] for j in range(m)] for i in range(m)], g)
+        for name, c in columns.items()
+    }
 
 
 def reference_cases(gamma: float) -> list:

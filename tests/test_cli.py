@@ -408,6 +408,13 @@ def test_reproduce_paper_passes_at_gamma_1e200(capsys):
     assert (code, data["all_pass"]) == (0, True)
 
 
+def test_reproduce_paper_beyond_the_float_range_exits_2_with_one_error_line(capsys):
+    # numpy's overflow warnings used to come first, and raise here under the warning filter
+    code, out, err = run(capsys, "reproduce-paper", "--gamma", "1e-310")
+    assert (code, out) == (2, "")
+    assert err == "error: a worked-example entry at gamma = 1e-310 exceeds the float range\n"
+
+
 def test_pretty_and_csv_formats_smoke(capsys):
     code, out, _ = run(
         capsys, "show", "--kind", "rotator", "--m", "4", "--format", "pretty"

@@ -1,6 +1,7 @@
 """Projectors, skew companion, pseudoinverse, and the set-valued inverse."""
 
 import json
+import operator
 import pickle
 import tracemalloc
 from pathlib import Path
@@ -643,6 +644,13 @@ def test_operations_reject_mismatched_operators():
         a + b
 
 
+@pytest.mark.parametrize("operation", [operator.add, operator.sub, operator.matmul], ids=str)
+def test_operations_reject_an_operand_that_is_not_an_operator(operation):
+    a = PolynomialOperator(make_circular_shift(3), [1.0, 0.0, 0.0])
+    with pytest.raises(ParameterError, match="^expected a PolynomialOperator, got ndarray$"):
+        operation(a, np.array([1.0, 0.0, 0.0]))
+
+
 def test_polynomial_rejects_wrong_coefficient_count():
     with pytest.raises(ParameterError):
         PolynomialOperator(make_rotator(3), [1.0, 0.0])
@@ -1102,7 +1110,7 @@ def test_affine_subspace_names_the_worst_pair():
 
 def test_affine_subspace_basis_is_one_array():
     s = AffineSubspace(point=[1.0, 2.0, 3.0], basis=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert s.basis.shape == (2, 3)
+    assert s.basis.shape == (2, 3) and (s.dim, s.degrees_of_freedom) == (3, 2)
     np.testing.assert_array_equal(s.element([2.0, -1.0]), [3.0, 2.0, 2.0])
     assert AffineSubspace(point=np.zeros(3)).basis.shape == (0, 3)
     np.testing.assert_array_equal(AffineSubspace(point=[1.0, 2.0]).element([]), [1.0, 2.0])

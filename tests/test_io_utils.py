@@ -44,6 +44,13 @@ def test_vector_accepts_csv_column(tmp_path):
     np.testing.assert_array_equal(load_vector(path), [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("text", ["[[1, 2, 3]]", "[[1], [2], [3]]"], ids=["row", "column"])
+def test_vector_accepts_a_json_row_or_column(tmp_path, text):
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    np.testing.assert_array_equal(load_vector(path), [1.0, 2.0, 3.0])
+
+
 def test_vector_accepts_single_entry(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("4.25\n")

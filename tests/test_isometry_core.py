@@ -508,7 +508,8 @@ def test_bare_constructor_refuses_storage_that_does_not_fit(args, kwargs, match)
 )
 def test_bare_rotator_and_shift_are_fixed_by_order_and_dim(bare, made):
     R = FiniteOrderIsometry(*bare)
-    assert R.same_as(made) and made.same_as(R)
+    assert R.same_as(made) and made.same_as(R) and not R.same_as(None)
+    assert repr(R) == "FiniteOrderIsometry(kind={!r}, order={}, dim={})".format(*bare)
     x = np.random.default_rng(4).standard_normal((R.dim, 3))
     c = np.random.default_rng(5).standard_normal(R.order)
     for k in range(R.order):

@@ -15,7 +15,7 @@ from displacement_kit.worked_examples import (
     rotator_closed_forms,
     shift_closed_forms,
 )
-from displacement_kit import make_circular_shift
+from displacement_kit import NumericError, make_circular_shift
 
 
 def test_battery_passes_on_reduced_grid():
@@ -160,16 +160,23 @@ def _exact_forms(kind, m, g):
     }
 
 
-@pytest.mark.parametrize("gamma", [1e-300, 1e-5, 0.5, 1.0, 2.0, 1e5, 1e154, 1e200, 1e300])
+@pytest.mark.parametrize(
+    "gamma", [1e-308, 1e-300, 1e-5, 1 / 3, 0.5, 0.7, 1.0, 2.0, 1e5, 1e154, 1e200, 1e300]
+)
 def test_reference_matrices_are_their_rational_expressions(gamma):
-    # powers of gamma overflowed from ~1e154 on: NaN entries at 1e155, and at 1e200
-    # a rotator m = 3 matrix of zeros that the absolute tolerance let pass
+    # each entry is its expression rounded once; float evaluation was up to 2 ulp
+    # off at 1e-5 and 1e5, and its powers of gamma overflowed from ~1e154 on
     for case in reference_cases(gamma):
         exact = _exact_forms(case["kind"], case["m"], Fraction(gamma))[case["operator"]]
-        want = [entry for row in exact for entry in row]
-        ulp = Fraction(np.spacing(max(abs(float(entry)) for entry in want)))
-        for got, entry in zip(case["matrix"].ravel().tolist(), want):
-            assert abs(Fraction(got) - entry) <= 4 * ulp, (case["kind"], case["m"], case["operator"])
+        want = [[float(entry) for entry in row] for row in exact]
+        assert case["matrix"].tolist() == want, (case["kind"], case["m"], case["operator"])
+
+
+def test_reference_refuses_an_entry_beyond_the_float_range_naming_gamma():
+    # the shifts' yosida_inverse entries are about 1/(2 gamma); numpy used to
+    # warn and return inf
+    with pytest.raises(NumericError, match="entry at gamma = 1e-310 exceeds the float range"):
+        reference_cases(1e-310)
 
 
 @pytest.mark.parametrize("gamma", [1e154, 1e200, 1e300])
